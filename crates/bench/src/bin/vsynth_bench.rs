@@ -1,23 +1,21 @@
-//! `vsynth_bench` — times the fast synthesis flow (parallel elaboration,
-//! expansion memoization, sparse STA) against the dense single-threaded
-//! reference on a catalog suite, and writes `BENCH_vsynth.json` at the
-//! repo root.
+//! `vsynth_bench` — times the fast synthesis flow (expansion memoization,
+//! fused dense sizing passes) against the reference flow on a catalog
+//! suite, and writes `BENCH_vsynth.json` at the repo root.
 //!
 //! ```text
 //! cargo run --release -p sns-bench --bin vsynth_bench
 //! SNS_VSYNTH_BENCH_REPS=5 cargo run --release -p sns-bench --bin vsynth_bench
 //! ```
 //!
-//! Per design it reports the reference seconds, the fast-flow seconds at
-//! 1 thread and at the pool's thread count, the per-stage breakdown
-//! (elaborate / STA / sizing / power), and the resulting speedups; the
-//! label bit-identity itself is enforced by the conformance oracle and
-//! the `bit_identity` test suite, but the bench double-checks gate counts
-//! so a broken build cannot publish a bogus speedup.
+//! Per design it reports the reference and fast-flow seconds, the
+//! per-stage breakdown (elaborate / STA / sizing / power), and the
+//! speedup. Before anything is written, every fast report must equal the
+//! reference bit for bit (timing, area, power, gate, transistor and
+//! cycle counts), so a broken build cannot publish a bogus speedup.
 
 use std::time::Instant;
 
-use sns_bench::write_root_json;
+use sns_bench::{env_header, write_root_json};
 use sns_designs::{crypto, dsp, extra, vector, Design};
 use sns_netlist::{parse_and_elaborate, Netlist};
 use sns_rt::json::Json;
@@ -27,8 +25,8 @@ fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
 }
 
-/// Mid-to-large catalog designs: wide datapaths (memoizable expanders),
-/// register files, and enough cells to cross the parallel threshold.
+/// Mid-to-large catalog designs: wide datapaths (memoizable expanders)
+/// and register files.
 fn suite() -> Vec<Design> {
     vec![
         vector::simd_alu(4, 16),
@@ -51,16 +49,14 @@ struct FlowSample {
 
 /// Times one flow end to end, best of `reps` (per-stage numbers come from
 /// the best total, so the stages sum to the reported time).
-fn time_flow(nl: &Netlist, threads: Option<usize>, reference: bool, reps: usize) -> FlowSample {
-    let opts = SynthOptions { threads, ..SynthOptions::default() };
-    let vs = VirtualSynthesizer::new(opts);
+fn time_flow(nl: &Netlist, fast: bool, reps: usize) -> FlowSample {
+    let vs = VirtualSynthesizer::new(SynthOptions::default());
     let mut best: Option<FlowSample> = None;
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
-        let gl =
-            if reference { vs.elaborate_gates_reference(nl) } else { vs.elaborate_gates(nl) };
+        let gl = if fast { vs.elaborate_gates(nl) } else { vs.elaborate_gates_reference(nl) };
         let elaborate_s = t0.elapsed().as_secs_f64();
-        let (report, bd) = vs.analyze_with_breakdown(&gl, !reference);
+        let (report, bd) = vs.analyze_with_breakdown(&gl, fast);
         let total_s = t0.elapsed().as_secs_f64();
         let sample = FlowSample {
             elaborate_s,
@@ -77,6 +73,24 @@ fn time_flow(nl: &Netlist, threads: Option<usize>, reference: bool, reps: usize)
     best.expect("reps >= 1")
 }
 
+/// Panics unless the fast report equals the reference bit for bit.
+fn assert_identical(name: &str, fast: &SynthReport, reference: &SynthReport) {
+    for (label, x, y) in [
+        ("timing_ps", fast.timing_ps, reference.timing_ps),
+        ("area_um2", fast.area_um2, reference.area_um2),
+        ("power_mw", fast.power_mw, reference.power_mw),
+        ("dynamic_mw", fast.dynamic_mw, reference.dynamic_mw),
+        ("leakage_mw", fast.leakage_mw, reference.leakage_mw),
+    ] {
+        assert_eq!(x.to_bits(), y.to_bits(), "{name}: fast {label} diverged ({x} vs {y})");
+    }
+    assert_eq!(
+        (fast.gate_count, fast.transistor_count, fast.cycles_broken),
+        (reference.gate_count, reference.transistor_count, reference.cycles_broken),
+        "{name}: fast gate/transistor/cycle counts diverged"
+    );
+}
+
 fn stage_json(s: &FlowSample) -> Json {
     Json::obj(vec![
         ("elaborate_s", Json::Num(s.elaborate_s)),
@@ -89,8 +103,7 @@ fn stage_json(s: &FlowSample) -> Json {
 
 fn main() {
     let reps = env_usize("SNS_VSYNTH_BENCH_REPS", 3);
-    let threads = sns_rt::pool::synth_threads();
-    println!("vsynth bench: {} designs, best of {reps}, pool {threads} threads", suite().len());
+    println!("vsynth bench: {} designs, best of {reps}", suite().len());
 
     let mut rows = Vec::new();
     let mut ref_total = 0.0f64;
@@ -99,35 +112,25 @@ fn main() {
     for d in suite() {
         let nl = parse_and_elaborate(&d.verilog, &d.top)
             .unwrap_or_else(|e| panic!("{}: {e}", d.name));
-        let reference = time_flow(&nl, Some(1), true, reps);
-        let fast1 = time_flow(&nl, Some(1), false, reps);
-        let fastn = time_flow(&nl, Some(threads), false, reps);
-        assert_eq!(
-            reference.report.gate_count, fastn.report.gate_count,
-            "{}: fast flow gate count diverged from reference",
-            d.name
-        );
+        let reference = time_flow(&nl, false, reps);
+        let fast = time_flow(&nl, true, reps);
+        assert_identical(&d.name, &fast.report, &reference.report);
         ref_total += reference.total_s;
-        fast_total += fastn.total_s;
-        let speedup1 = reference.total_s / fast1.total_s.max(1e-12);
-        let speedup_n = reference.total_s / fastn.total_s.max(1e-12);
+        fast_total += fast.total_s;
+        let speedup = reference.total_s / fast.total_s.max(1e-12);
         println!(
-            "  {:<28} {:>8} gates   ref {:>8.2} ms   fast(1) {:>7.2} ms ({speedup1:>5.2}x)   \
-             fast({threads}) {:>7.2} ms ({speedup_n:>5.2}x)",
+            "  {:<28} {:>8} gates   ref {:>8.2} ms   fast {:>7.2} ms ({speedup:>5.2}x)",
             d.name,
             reference.report.gate_count,
             reference.total_s * 1e3,
-            fast1.total_s * 1e3,
-            fastn.total_s * 1e3,
+            fast.total_s * 1e3,
         );
         rows.push(Json::obj(vec![
             ("name", Json::Str(d.name.clone())),
             ("gate_count", Json::UInt(reference.report.gate_count)),
             ("reference", stage_json(&reference)),
-            ("fast_1t", stage_json(&fast1)),
-            ("fast_nt", stage_json(&fastn)),
-            ("speedup_1t", Json::Num(speedup1)),
-            ("speedup_nt", Json::Num(speedup_n)),
+            ("fast", stage_json(&fast)),
+            ("speedup", Json::Num(speedup)),
         ]));
     }
     let wall_s = t_all.elapsed().as_secs_f64();
@@ -147,8 +150,8 @@ fn main() {
     let n = rows.len();
     let report = Json::obj(vec![
         ("bench", Json::Str("vsynth".into())),
+        ("env", env_header()),
         ("designs", Json::UInt(n as u64)),
-        ("threads", Json::UInt(threads as u64)),
         ("reps", Json::UInt(reps as u64)),
         ("reference_total_s", Json::Num(ref_total)),
         ("fast_total_s", Json::Num(fast_total)),

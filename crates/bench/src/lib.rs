@@ -54,6 +54,30 @@ pub fn write_root_json(name: &str, doc: &sns_rt::json::Json) {
     println!("  [artifact] {}", path.display());
 }
 
+/// The machine and build a bench ran on, for the head of its JSON
+/// artifact: available cores, build profile, and the checked-out commit
+/// (`git describe --always --dirty`; "unknown" outside git).
+pub fn env_header() -> sns_rt::json::Json {
+    use sns_rt::json::Json;
+    let nproc = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let commit = std::process::Command::new("git")
+        .arg("-C")
+        .arg(repo_root())
+        .args(["describe", "--always", "--dirty", "--abbrev=40"])
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
+    Json::obj(vec![
+        ("nproc", Json::UInt(nproc as u64)),
+        ("profile", Json::Str(profile.into())),
+        ("commit", Json::Str(commit)),
+    ])
+}
+
 /// Writes a CSV artifact and reports its path.
 pub fn write_csv(name: &str, header: &str, rows: &[String]) {
     let path = out_dir().join(name);

@@ -31,8 +31,8 @@ const SIM_CYCLES: usize = 6;
 /// Every how-many designs the model-level oracles run.
 const MODEL_STRIDE: usize = 20;
 /// Every how-many designs the fast-vs-reference synthesis identity oracle
-/// runs (the reference flow re-propagates the full graph every sizing
-/// iteration, so it dominates when run on every design).
+/// runs (it synthesizes every design twice, so it dominates when run on
+/// every design).
 const VSYNTH_REF_STRIDE: usize = 10;
 
 fn env_u64(name: &str, default: u64) -> u64 {

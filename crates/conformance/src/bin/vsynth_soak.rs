@@ -8,11 +8,11 @@
 //!
 //! Unlike `conformance_soak` (which runs this oracle on a stride to keep
 //! the full stack affordable), the vsynth soak runs it on **every**
-//! design: the fast flow — parallel elaboration, expansion memoization,
-//! sparse STA — must produce the same gate graph node for node and the
-//! same labels bit for bit as the single-threaded dense reference, at
-//! 1 and 4 threads. Failing generated designs are shrunk and persisted
-//! under `tests/corpus/pending/`; any failure exits non-zero.
+//! design: the fast flow — expansion memoization, fused dense sizing
+//! passes — must produce the same gate graph node for node and the same
+//! labels bit for bit as the reference flow. Failing generated designs
+//! are shrunk and persisted under `tests/corpus/pending/`; any failure
+//! exits non-zero.
 
 use std::time::Instant;
 

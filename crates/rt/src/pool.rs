@@ -27,21 +27,10 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(16)
 }
 
-/// Worker count for the virtual synthesizer's internal parallelism:
-/// `SNS_SYNTH_THREADS` if set to a positive integer, otherwise
-/// [`default_threads`]. Split out from the inference knob so a serving
-/// deployment can give synthesis (label generation, conformance soaks) a
-/// different budget than model inference. Synthesis results are
-/// bit-identical at any value — this is purely a throughput knob.
+/// Always 1: the virtual synthesizer runs serially. Kept only so the
+/// repository benchmark can keep reporting it in its environment header.
 pub fn synth_threads() -> usize {
-    if let Ok(v) = std::env::var("SNS_SYNTH_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    default_threads()
+    1
 }
 
 /// The default inference batch size: `SNS_BATCH` if set to a positive

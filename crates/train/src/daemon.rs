@@ -4,14 +4,13 @@
 //! ## Determinism contract
 //!
 //! Same [`DaemonConfig`] + same step count ⇒ **bit-identical model**, at
-//! any `SNS_THREADS` / `SNS_BATCH` / `SNS_SYNTH_THREADS`. Every stage
-//! holds the invariant independently: the conformance generator is a
-//! pure function of its seed, vsynth is bit-identical at any thread
-//! count, model predictions are bit-identical at any thread/batch
-//! setting, [`FineTuner`] accumulates gradients in fixed-size chunks,
-//! the Markov arm consumes its own seeded RNG, and the bootstrap
-//! trainer's thread knob is pinned to 1 in the config (the batch
-//! trainer's chunking is the one thread-dependent site in the
+//! any `SNS_THREADS` / `SNS_BATCH`. Every stage holds the invariant
+//! independently: the conformance generator is a pure function of its
+//! seed, vsynth runs serially, model predictions are bit-identical at
+//! any thread/batch setting, [`FineTuner`] accumulates gradients in
+//! fixed-size chunks, the Markov arm consumes its own seeded RNG, and
+//! the bootstrap trainer's thread knob is pinned to 1 in the config (the
+//! batch trainer's chunking is the one thread-dependent site in the
 //! workspace). `tests/train_determinism.rs` sweeps the env knobs and
 //! compares zoo weight hashes.
 //!

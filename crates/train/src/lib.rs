@@ -24,8 +24,8 @@
 //!   `sns-serve` can hot-swap from it at any moment.
 //!
 //! The whole loop is deterministic end to end: same seed + same step
-//! count ⇒ bit-identical model, at any `SNS_THREADS` / `SNS_BATCH` /
-//! `SNS_SYNTH_THREADS` (see `tests/train_determinism.rs`).
+//! count ⇒ bit-identical model, at any `SNS_THREADS` / `SNS_BATCH` (see
+//! `tests/train_determinism.rs`).
 //!
 //! The `train_soak` binary runs the daemon over hundreds of designs and
 //! writes `BENCH_train.json` (labeling/step throughput, disagreement

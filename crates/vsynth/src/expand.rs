@@ -31,13 +31,6 @@ impl<'g> Expander<'g> {
         Expander { g, c0, c1 }
     }
 
-    /// Re-wraps a graph whose constant nodes already exist (nodes 0 and 1,
-    /// as allocated by a previous [`Expander::new`] on the same graph).
-    pub fn attach(g: &'g mut GateGraph) -> Self {
-        debug_assert!(g.len() >= 2, "attach requires the constant nodes");
-        Expander { g, c0: 0, c1: 1 }
-    }
-
     /// The constant-0 bit.
     pub fn const0(&self) -> NodeId {
         self.c0

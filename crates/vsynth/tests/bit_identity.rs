@@ -1,11 +1,10 @@
 //! Bit-identity sweep for the fast synthesis flow.
 //!
-//! The fast path (parallel per-module elaboration, expansion memoization,
-//! sparse levelized STA) must be *bit-identical* to the retained
-//! single-threaded dense reference flow — same gate graph node for node,
-//! same labels bit for bit — across every `threads × sizing_iterations ×
-//! memo` combination. Any divergence means the optimization changed
-//! semantics, which would silently re-label every training set.
+//! The fast path (memoized elaboration, fused dense sizing passes) must be
+//! *bit-identical* to the retained reference flow — same gate graph node
+//! for node, same labels bit for bit — at every `sizing_iterations`
+//! setting. Any divergence means the optimization changed semantics,
+//! which would silently re-label every training set.
 
 use std::collections::HashMap;
 
@@ -28,9 +27,8 @@ const MIXED: &str = "module mixed (input clk, input [15:0] a, b, c, d, output re
                          assign z = ((a == b) ? c : d) + ((a > b) ? (&a ? b : c) : (^d ? d : a));
                      endmodule";
 
-/// Big enough (four 24-bit dividers plus multipliers) that the planner's
-/// node estimate crosses the parallel-elaboration threshold, so explicit
-/// `threads > 1` genuinely exercises chunked expansion and stitching.
+/// Four 24-bit dividers plus multipliers: tens of thousands of gates, so
+/// large memo templates are captured and splatted repeatedly.
 const BIG: &str = "module big (input clk, input [23:0] a, b, c, d, output reg [23:0] y);
                        reg [23:0] t0, t1, t2, t3;
                        always @(posedge clk) begin
@@ -89,33 +87,22 @@ fn assert_gatelevel_identical(ctx: &str, gl: &GateLevel, gl_ref: &GateLevel) {
     assert_eq!(gl.cycles_broken, gl_ref.cycles_broken, "{ctx}: cycles_broken diverged");
 }
 
-/// Runs the full sweep on one source: for each sizing setting, pin the
-/// reference flow once, then check every `threads × memo` fast variant
-/// against it.
+/// Runs the full sweep on one source: for each sizing setting, check the
+/// fast flow against the reference flow.
 fn sweep(name: &str, src: &str, top: &str, sizing_settings: &[u32]) {
     let nl = parse_and_elaborate(src, top).unwrap();
     for &sizing in sizing_settings {
-        let vs_ref = VirtualSynthesizer::new(SynthOptions {
+        let ctx = format!("{name} sizing={sizing}");
+        let vs = VirtualSynthesizer::new(SynthOptions {
             sizing_iterations: sizing,
             ..SynthOptions::default()
         });
-        let gl_ref = vs_ref.elaborate_gates_reference(&nl);
-        let r_ref = vs_ref.analyze_reference(&gl_ref);
-        for threads in [1usize, 2, 8] {
-            for memo in [false, true] {
-                let ctx = format!("{name} threads={threads} sizing={sizing} memo={memo}");
-                let vs = VirtualSynthesizer::new(SynthOptions {
-                    sizing_iterations: sizing,
-                    threads: Some(threads),
-                    memo,
-                    ..SynthOptions::default()
-                });
-                let gl = vs.elaborate_gates(&nl);
-                assert_gatelevel_identical(&ctx, &gl, &gl_ref);
-                let r = vs.analyze(&gl);
-                assert_reports_identical(&ctx, &r, &r_ref);
-            }
-        }
+        let gl_ref = vs.elaborate_gates_reference(&nl);
+        let r_ref = vs.analyze_reference(&gl_ref);
+        let gl = vs.elaborate_gates(&nl);
+        assert_gatelevel_identical(&ctx, &gl, &gl_ref);
+        let r = vs.analyze(&gl);
+        assert_reports_identical(&ctx, &r, &r_ref);
     }
 }
 
@@ -125,9 +112,9 @@ fn mixed_operators_sweep_is_bit_identical() {
 }
 
 #[test]
-fn big_design_parallel_sweep_is_bit_identical() {
-    // One sizing setting keeps the dense reference runs affordable; the
-    // point of this design is crossing the parallel threshold.
+fn big_memoized_design_sweep_is_bit_identical() {
+    // One sizing setting keeps the reference runs affordable; the point of
+    // this design is splatting large memo templates.
     sweep("big", BIG, "big", &[2]);
 }
 

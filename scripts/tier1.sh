@@ -24,6 +24,11 @@ cargo test -q -p sns-rt -p sns-core -p sns-serve -p sns-train -p sns-genmodel
 echo "==> cargo test -q -p sns-netlist -p sns-graphir -p sns-sampler"
 cargo test -q -p sns-netlist -p sns-graphir -p sns-sampler
 
+# The virtual synthesizer (including its fast-vs-reference bit-identity
+# sweep in crates/vsynth/tests/bit_identity.rs) and the Circuitformer.
+echo "==> cargo test -q -p sns-vsynth -p sns-circuitformer"
+cargo test -q -p sns-vsynth -p sns-circuitformer
+
 # No-new-panics gate: the untrusted pipeline (netlist/graphir/sampler),
 # the network-facing serving layer (serve front-end, its binary, and the
 # rt reactor substrate), the virtual synthesizer (labels every
