@@ -65,15 +65,6 @@ fn main() {
         }
     }
 
-    // The gated int8 path on the serving shape (informational — the f32
-    // prepacked path is the production one).
-    {
-        let a = rand_mat(&mut gemm_rng, 16, 128);
-        let b = rand_mat(&mut gemm_rng, 128, 2304);
-        let qb = sns_nn::PackedBInt8::pack(b.as_slice(), 128, 2304);
-        results.push(bench("gemm_int8_16x128x2304", || a.matmul_prepacked_int8(&qb)));
-    }
-
     // Front end.
     let design = cores::rocket_like(32);
     results.push(bench("parse_rocket32", || {
@@ -96,7 +87,6 @@ fn main() {
     let short: Vec<usize> = vec![3, 40, 44, 9];
     let long: Vec<usize> = (0..64).map(|i| i % 79).collect();
     results.push(bench("circuitformer_infer_len4", || model.predict_raw(&short)));
-    results.push(bench("circuitformer_infer_len64", || model.predict_raw(&long)));
     // The end-to-end serving unit: one path through the prepacked
     // fused-QKV/tiled-attention batch path (what a cache-miss recompute
     // or an ECO invalidation actually costs).
@@ -141,6 +131,7 @@ fn main() {
     // trajectory is tracked across PRs.
     let mut doc = results_to_json("micro_kernels", &results);
     if let Json::Obj(fields) = &mut doc {
+        fields.insert(1, ("env".to_string(), sns_bench::env_header()));
         fields.push(("gemm_speedups".to_string(), Json::Arr(speedup_rows)));
         fields.push(("batch_speedups".to_string(), Json::Arr(batch_speedups)));
     }

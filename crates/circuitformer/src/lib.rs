@@ -37,11 +37,13 @@ pub mod train;
 pub use scaler::LabelScaler;
 pub use train::{train, EpochStats, TrainConfig, TrainHistory};
 
+use std::sync::OnceLock;
+
 use sns_rt::rng::StdRng;
 
 use sns_nn::{
     save_params, load_params, Embedding, Gelu, Grads, LayerNorm, Linear, Mat, ModelState,
-    PackedAttention, PackedLinear, Param, ParamRegistry, QuantMode, SeqSpan,
+    PackedAttention, PackedLinear, Param, ParamRegistry, SeqSpan,
 };
 
 /// Hyperparameters of the Circuitformer.
@@ -117,40 +119,19 @@ impl Block {
         (y, BlockCtx { ln1, attn, ln2, ff1, gelu, ff2 })
     }
 
-    /// Inference-only forward over a packed batch described by `spans`.
+    /// Inference-only forward over a packed batch described by `spans`,
+    /// with attention and the FFN running `p`, this block's prepacked
+    /// snapshot.
     ///
     /// Every sub-layer is row-wise except attention, which is evaluated
     /// per span, so each packed sequence's rows come out bit-identical to
-    /// running [`Block::forward`] on that sequence alone. When a prepacked
-    /// snapshot is supplied, attention and the FFN run the prepacked
-    /// kernels (bit-identical in f32 mode, tolerance-bounded under int8).
-    fn infer(&self, x: &Mat, spans: &[SeqSpan], packed: Option<&PackedBlock>) -> Mat {
+    /// running [`Block::forward`] on that sequence alone.
+    fn infer(&self, x: &Mat, spans: &[SeqSpan], p: &PackedBlock) -> Mat {
         let n1 = self.ln1.infer(x);
-        let a = match packed {
-            Some(p) => p.attn.infer_masked(&n1, spans),
-            None => self.attn.infer_masked(&n1, spans),
-        };
-        let x1 = x.add(&a);
+        let x1 = x.add(&p.attn.infer_masked(&n1, spans));
         let n2 = self.ln2.infer(&x1);
-        let h = match packed {
-            Some(p) => p.ff1.infer(&n2),
-            None => self.ff1.infer(&n2),
-        };
-        let g = Gelu.infer(&h);
-        let f = match packed {
-            Some(p) => p.ff2.infer(&g),
-            None => self.ff2.infer(&g),
-        };
-        x1.add(&f)
-    }
-
-    /// Snapshots this block's attention + FFN weights into prepacked form.
-    fn prepack(&self, mode: QuantMode) -> PackedBlock {
-        PackedBlock {
-            attn: PackedAttention::pack(&self.attn, mode),
-            ff1: PackedLinear::pack(&self.ff1, mode),
-            ff2: PackedLinear::pack(&self.ff2, mode),
-        }
+        let g = Gelu.infer(&p.ff1.infer(&n2));
+        x1.add(&p.ff2.infer(&g))
     }
 
     fn backward(&self, ctx: &BlockCtx, dy: &Mat, grads: &mut Grads) -> Mat {
@@ -191,26 +172,35 @@ struct PackedBlock {
     ff2: PackedLinear,
 }
 
+impl PackedBlock {
+    fn pack(b: &Block) -> PackedBlock {
+        PackedBlock {
+            attn: PackedAttention::pack(&b.attn),
+            ff1: PackedLinear::pack(&b.ff1),
+            ff2: PackedLinear::pack(&b.ff2),
+        }
+    }
+}
+
 /// The model's prepacked inference plan: every block's fused-QKV
 /// attention and FFN projections plus the first regression-head layer,
-/// repacked once into GEMM panel layout. Built at construction/load and
-/// after training; dropped whenever parameters are mutated
-/// ([`Circuitformer::visit_mut`]) so stale packs can never be consulted —
-/// inference falls back to the unpacked (bit-identical) layers until the
-/// owner re-packs.
-///
-/// The quantization `mode` applies to the block layers only; the heads
-/// and embeddings always stay f32 (they are a rounding error of the FLOP
-/// budget, and the regression head's 3-wide output is the worst possible
-/// shape for per-column quantization).
+/// repacked once into GEMM panel layout. It is a cache of the weights:
+/// [`Circuitformer::visit_mut`] drops it, so a stale pack is never
+/// consulted, and the next inference rebuilds it.
 #[derive(Debug, Clone)]
 struct PackedPlan {
     blocks: Vec<PackedBlock>,
     head1: PackedLinear,
-    mode: QuantMode,
 }
 
 impl PackedPlan {
+    fn build(m: &Circuitformer) -> PackedPlan {
+        PackedPlan {
+            blocks: m.blocks.iter().map(PackedBlock::pack).collect(),
+            head1: PackedLinear::pack(&m.head1),
+        }
+    }
+
     fn bytes(&self) -> usize {
         self.head1.bytes()
             + self
@@ -232,7 +222,7 @@ pub struct Circuitformer {
     final_ln: LayerNorm,
     head1: Linear,
     head2: Linear,
-    packed: Option<PackedPlan>,
+    packed: OnceLock<PackedPlan>,
 }
 
 /// Saved forward state for [`Circuitformer::backward`].
@@ -259,7 +249,7 @@ impl Circuitformer {
         let final_ln = LayerNorm::new(&mut reg, config.dim);
         let head1 = Linear::new(&mut reg, config.dim, config.dim, rng);
         let head2 = Linear::new(&mut reg, config.dim, 3, rng);
-        let mut m = Circuitformer {
+        let m = Circuitformer {
             config,
             registry: reg,
             tok,
@@ -268,39 +258,21 @@ impl Circuitformer {
             final_ln,
             head1,
             head2,
-            packed: None,
+            packed: OnceLock::new(),
         };
-        m.prepack(QuantMode::F32);
+        m.plan();
         m
     }
 
-    /// Rebuilds the prepacked inference plan under `mode`. Called
-    /// automatically by [`new`](Self::new) and [`load`](Self::load) (f32 /
-    /// previous mode); call it explicitly after in-place training or to
-    /// switch quantization modes.
-    pub fn prepack(&mut self, mode: QuantMode) {
-        self.packed = Some(PackedPlan {
-            blocks: self.blocks.iter().map(|b| b.prepack(mode)).collect(),
-            head1: PackedLinear::pack(&self.head1, QuantMode::F32),
-            mode,
-        });
+    /// The prepacked inference plan, built on first use after
+    /// construction or the last parameter mutation.
+    fn plan(&self) -> &PackedPlan {
+        self.packed.get_or_init(|| PackedPlan::build(self))
     }
 
-    /// The quantization mode of the current prepacked plan
-    /// ([`QuantMode::F32`] when no plan is live).
-    pub fn quant_mode(&self) -> QuantMode {
-        self.packed.as_ref().map(|p| p.mode).unwrap_or_default()
-    }
-
-    /// Whether a prepacked plan is live (it drops on any parameter
-    /// mutation and returns after [`prepack`](Self::prepack)).
-    pub fn is_prepacked(&self) -> bool {
-        self.packed.is_some()
-    }
-
-    /// Resident bytes of the prepacked plan (0 when no plan is live).
+    /// Resident bytes of the prepacked inference plan.
     pub fn prepack_bytes(&self) -> usize {
-        self.packed.as_ref().map(|p| p.bytes()).unwrap_or(0)
+        self.plan().bytes()
     }
 
     /// The model configuration.
@@ -370,9 +342,14 @@ impl Circuitformer {
         )
     }
 
-    /// Inference-only forward: the three outputs in normalized log space.
+    /// Inference on one path: the three outputs in normalized log space.
+    /// A batch of one through [`predict_batch`](Self::predict_batch).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tokens` is empty or contains an id ≥ vocab.
     pub fn predict_raw(&self, tokens: &[usize]) -> [f32; 3] {
-        self.forward(tokens).0
+        self.predict_batch(&[tokens])[0]
     }
 
     /// Batched inference: packs all `paths` (CLS-prefixed, truncated to
@@ -383,7 +360,7 @@ impl Circuitformer {
     ///
     /// Attention is evaluated per sequence span (block-diagonal), and all
     /// other sub-layers are row-wise, so `predict_batch(&[a, b, ...])[i]`
-    /// is **bit-identical** to `predict_raw(paths[i])` for every `i`, at
+    /// is **bit-identical** to `forward(paths[i]).0` for every `i`, at
     /// any batch size or composition.
     ///
     /// # Panics
@@ -406,9 +383,10 @@ impl Circuitformer {
         }
         let te = self.tok.infer(&ids);
         let pe = self.pos.infer(&positions);
+        let plan = self.plan();
         let mut x = te.add(&pe);
-        for (i, b) in self.blocks.iter().enumerate() {
-            x = b.infer(&x, &spans, self.packed.as_ref().map(|p| &p.blocks[i]));
+        for (b, p) in self.blocks.iter().zip(&plan.blocks) {
+            x = b.infer(&x, &spans, p);
         }
         let n = self.final_ln.infer(&x);
         // Gather every sequence's CLS row into one [B, dim] head input.
@@ -416,11 +394,7 @@ impl Circuitformer {
         for (i, span) in spans.iter().enumerate() {
             cls.row_mut(i).copy_from_slice(n.row(span.start));
         }
-        let h = match &self.packed {
-            Some(p) => p.head1.infer(&cls),
-            None => self.head1.infer(&cls),
-        };
-        let g = Gelu.infer(&h);
+        let g = Gelu.infer(&plan.head1.infer(&cls));
         let out = self.head2.infer(&g);
         (0..spans.len()).map(|i| [out.get(i, 0), out.get(i, 1), out.get(i, 2)]).collect()
     }
@@ -458,11 +432,9 @@ impl Circuitformer {
     ///
     /// Any mutable visit drops the prepacked inference plan — the visitor
     /// may rewrite weights (optimizer step, parameter load), and a stale
-    /// pack must never be consulted. Re-pack with
-    /// [`prepack`](Self::prepack) when mutation is done; until then
-    /// inference runs the unpacked (f32, bit-identical) layers.
+    /// pack must never be consulted. The next inference rebuilds it.
     pub fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.packed = None;
+        self.packed = OnceLock::new();
         self.tok.visit_mut(f);
         self.pos.visit_mut(f);
         for b in &mut self.blocks {
@@ -479,18 +451,16 @@ impl Circuitformer {
     }
 
     /// Restores parameters from a snapshot and rebuilds the prepacked
-    /// plan under the mode that was live before the load (f32 if none).
+    /// plan, so the first inference after a load never packs.
     ///
     /// # Errors
     ///
     /// Returns an error if the snapshot does not match this architecture
-    /// (the plan is left dropped in that case — the parameters may be
-    /// partially overwritten, but the unpacked fallback stays coherent
-    /// with whatever they now hold).
+    /// (the parameters may be partially overwritten; the plan is left
+    /// dropped and the next inference packs whatever they now hold).
     pub fn load(&mut self, state: &ModelState) -> Result<(), String> {
-        let mode = self.quant_mode();
         load_params(state, |f| self.visit_mut(f))?;
-        self.prepack(mode);
+        self.plan();
         Ok(())
     }
 }
@@ -593,9 +563,10 @@ mod tests {
     }
 
     #[test]
-    fn predict_batch_matches_predict_raw_bitwise() {
+    fn predict_batch_matches_forward_bitwise() {
         // Random length-mixed batches: every batched output must equal the
-        // one-sequence-at-a-time path bit for bit, whatever the batch mix.
+        // training forward on that path alone, bit for bit, whatever the
+        // batch mix.
         let m = model();
         let mut rng = StdRng::seed_from_u64(2024);
         for round in 0..5 {
@@ -610,7 +581,7 @@ mod tests {
             let batched = m.predict_batch(&refs);
             assert_eq!(batched.len(), batch_size);
             for (i, path) in paths.iter().enumerate() {
-                let solo = m.predict_raw(path);
+                let solo = m.forward(path).0;
                 for d in 0..3 {
                     assert_eq!(
                         batched[i][d].to_bits(),
@@ -625,52 +596,33 @@ mod tests {
     }
 
     #[test]
-    fn prepack_lifecycle_tracks_mutation() {
+    fn mutation_invalidates_the_plan_and_next_inference_matches_a_fresh_model() {
         let mut m = model();
-        // new() leaves a live f32 plan with real resident bytes.
-        assert!(m.is_prepacked());
-        assert_eq!(m.quant_mode(), sns_nn::QuantMode::F32);
+        // new() leaves a live plan with real resident bytes.
+        assert!(m.packed.get().is_some());
         assert!(m.prepack_bytes() > 0);
-        let packed_out = m.predict_batch(&[&[1usize, 2, 3][..]]);
-        // Any mutable visit drops the plan; the unpacked fallback is
-        // bit-identical.
-        m.visit_mut(&mut |_| {});
-        assert!(!m.is_prepacked());
-        assert_eq!(m.prepack_bytes(), 0);
-        let unpacked_out = m.predict_batch(&[&[1usize, 2, 3][..]]);
-        assert_eq!(packed_out, unpacked_out);
-        // Re-packing restores the plan and the outputs.
-        m.prepack(sns_nn::QuantMode::F32);
-        assert!(m.is_prepacked());
-        assert_eq!(m.predict_batch(&[&[1usize, 2, 3][..]]), packed_out);
-        // load() re-packs automatically.
-        let state = m.save();
-        m.visit_mut(&mut |_| {});
-        assert!(!m.is_prepacked());
-        m.load(&state).unwrap();
-        assert!(m.is_prepacked());
-        assert_eq!(m.predict_batch(&[&[1usize, 2, 3][..]]), packed_out);
-    }
-
-    #[test]
-    fn int8_mode_is_deterministic_and_close_to_f32() {
-        let mut m = model();
-        let paths: Vec<&[usize]> = vec![&[3, 40, 44, 9], &[1, 2, 3], &[7; 30]];
-        let f32_out = m.predict_batch(&paths);
-        m.prepack(sns_nn::QuantMode::Int8);
-        assert_eq!(m.quant_mode(), sns_nn::QuantMode::Int8);
-        let q1 = m.predict_batch(&paths);
-        let q2 = m.predict_batch(&paths);
-        assert_eq!(q1, q2, "int8 inference must be deterministic");
-        // Batch-invariance: each path solo under int8 equals its batched row.
-        for (i, p) in paths.iter().enumerate() {
-            assert_eq!(m.predict_batch(&[p])[0], q1[i], "int8 path {i} batch-variant");
-        }
-        // Tolerance versus f32 in normalized log space.
-        for (i, (qv, fv)) in q1.iter().zip(&f32_out).enumerate() {
+        let path = [1usize, 2, 3];
+        let before = m.predict_raw(&path);
+        // A mutable visit that rewrites weights drops the plan.
+        m.visit_mut(&mut |p| {
+            for v in p.value.as_mut_slice() {
+                *v *= 1.01;
+            }
+        });
+        assert!(m.packed.get().is_none());
+        // The next inference packs the new weights: it equals a model
+        // freshly loaded with them, and the training forward, bit for bit.
+        let after = m.predict_raw(&path);
+        assert!(m.packed.get().is_some());
+        assert_ne!(after, before, "inference consulted a stale plan");
+        let mut rng = StdRng::seed_from_u64(999);
+        let mut fresh = Circuitformer::new(CircuitformerConfig::fast(), &mut rng);
+        fresh.load(&m.save()).unwrap();
+        assert!(fresh.packed.get().is_some(), "load() must leave a live plan");
+        assert_eq!(fresh.prepack_bytes(), m.prepack_bytes());
+        for (got, want) in [(after, fresh.predict_raw(&path)), (after, m.forward(&path).0)] {
             for d in 0..3 {
-                let err = (qv[d] - fv[d]).abs();
-                assert!(err < 0.35, "path {i} dim {d}: int8 {} vs f32 {}", qv[d], fv[d]);
+                assert_eq!(got[d].to_bits(), want[d].to_bits(), "dim {d}");
             }
         }
     }
@@ -679,11 +631,15 @@ mod tests {
     fn predict_batch_handles_empty_and_truncated_inputs() {
         let m = model();
         assert!(m.predict_batch(&[]).is_empty());
-        // A >max_len path batches identically to its truncated solo run.
+        // A >max_len path batches identically to its truncated forward.
         let long = vec![5usize; 600];
         let short = vec![3usize, 40, 44];
         let batched = m.predict_batch(&[&long, &short]);
-        assert_eq!(batched[0], m.predict_raw(&long));
-        assert_eq!(batched[1], m.predict_raw(&short));
+        for (got, path) in batched.iter().zip([&long, &short]) {
+            let want = m.forward(path).0;
+            for d in 0..3 {
+                assert_eq!(got[d].to_bits(), want[d].to_bits(), "len {} dim {d}", path.len());
+            }
+        }
     }
 }

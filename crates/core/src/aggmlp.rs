@@ -2,9 +2,11 @@
 //! that refine an aggregated path statistic plus the design's graph
 //! statistics into the final design-level prediction.
 
+use std::sync::OnceLock;
+
 use sns_rt::rng::{SliceRandom, StdRng};
 
-use sns_nn::{Grads, Linear, Mat, Optimizer, PackedLinear, QuantMode, Relu, Sgd};
+use sns_nn::{load_params, Grads, Linear, Mat, ModelState, Optimizer, PackedLinear, Relu, Sgd};
 
 /// Saved forward state for one backward pass through the four layers.
 type MlpFwdCtx = (
@@ -17,16 +19,27 @@ type MlpFwdCtx = (
     sns_nn::LinearCtx,
 );
 
-/// The four layers of an [`AggMlp`] in prepacked inference form. Always
-/// f32: the MLPs are microseconds per design, so the int8 path does not
-/// extend here — but the m=1 feature-vector GEMMs still benefit from
-/// skipping per-call weight packing.
+/// The four layers of an [`AggMlp`] in prepacked inference form: the
+/// m=1 feature-vector GEMMs skip per-call weight packing. A cache of the
+/// weights, dropped whenever they change and rebuilt on the next
+/// prediction.
 #[derive(Debug, Clone)]
 struct PackedMlp {
     l1: PackedLinear,
     l2: PackedLinear,
     l3: PackedLinear,
     out: PackedLinear,
+}
+
+impl PackedMlp {
+    fn build(m: &AggMlp) -> PackedMlp {
+        PackedMlp {
+            l1: PackedLinear::pack(&m.l1),
+            l2: PackedLinear::pack(&m.l2),
+            l3: PackedLinear::pack(&m.l3),
+            out: PackedLinear::pack(&m.out),
+        }
+    }
 }
 
 /// One per-target Aggregation MLP (`input → 32 → 32 → 32 → 1`).
@@ -37,7 +50,7 @@ pub struct AggMlp {
     l2: Linear,
     l3: Linear,
     out: Linear,
-    packed: Option<PackedMlp>,
+    packed: OnceLock<PackedMlp>,
 }
 
 /// Training hyperparameters for the MLP (Table 6 row 2: SGD, batch 64,
@@ -78,29 +91,33 @@ impl AggMlp {
         let l2 = Linear::new(&mut reg, 32, 32, &mut rng);
         let l3 = Linear::new(&mut reg, 32, 32, &mut rng);
         let out = Linear::new(&mut reg, 32, 1, &mut rng);
-        let mut m = AggMlp { registry: reg, l1, l2, l3, out, packed: None };
-        m.prepack();
+        let m = AggMlp { registry: reg, l1, l2, l3, out, packed: OnceLock::new() };
+        m.plan();
         m
     }
 
-    /// Rebuilds the prepacked inference snapshot (called by
-    /// [`new`](Self::new) and at the end of [`fit`](Self::fit); dropped by
-    /// any mutable parameter visit).
-    pub fn prepack(&mut self) {
-        self.packed = Some(PackedMlp {
-            l1: PackedLinear::pack(&self.l1, QuantMode::F32),
-            l2: PackedLinear::pack(&self.l2, QuantMode::F32),
-            l3: PackedLinear::pack(&self.l3, QuantMode::F32),
-            out: PackedLinear::pack(&self.out, QuantMode::F32),
-        });
+    /// The prepacked inference snapshot, built on first use after
+    /// construction or the last parameter mutation.
+    fn plan(&self) -> &PackedMlp {
+        self.packed.get_or_init(|| PackedMlp::build(self))
     }
 
-    /// Resident bytes of the prepacked layer panels (0 while mid-fit).
+    /// Resident bytes of the prepacked layer panels.
     pub fn prepack_bytes(&self) -> usize {
-        self.packed
-            .as_ref()
-            .map(|p| p.l1.bytes() + p.l2.bytes() + p.l3.bytes() + p.out.bytes())
-            .unwrap_or(0)
+        let p = self.plan();
+        p.l1.bytes() + p.l2.bytes() + p.l3.bytes() + p.out.bytes()
+    }
+
+    /// Restores parameters from a snapshot and rebuilds the prepacked
+    /// snapshot, so the first prediction after a load never packs.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the snapshot does not match this architecture.
+    pub fn load(&mut self, state: &ModelState) -> Result<(), String> {
+        load_params(state, |f| self.visit_mut(f))?;
+        self.plan();
+        Ok(())
     }
 
     /// Input feature dimensionality.
@@ -108,25 +125,20 @@ impl AggMlp {
         self.l1.in_dim()
     }
 
-    /// Predicts a scalar for one feature vector. Runs the prepacked
-    /// layers when a snapshot is live (bit-identical to the training
-    /// forward — both are f32 and honor the GEMM K-order contract), the
-    /// unpacked ones otherwise (mid-fit).
+    /// Predicts a scalar for one feature vector through the prepacked
+    /// layers (bit-identical to the training forward — both honor the
+    /// GEMM K-order contract).
     ///
     /// # Panics
     ///
     /// Panics if `features.len() != input_dim()`.
     pub fn predict(&self, features: &[f32]) -> f32 {
+        let p = self.plan();
         let x = Mat::from_rows(&[features]);
-        match &self.packed {
-            Some(p) => {
-                let a1 = Relu.infer(&p.l1.infer(&x));
-                let a2 = Relu.infer(&p.l2.infer(&a1));
-                let a3 = Relu.infer(&p.l3.infer(&a2));
-                p.out.infer(&a3).get(0, 0)
-            }
-            None => self.forward(&x).0.get(0, 0),
-        }
+        let a1 = Relu.infer(&p.l1.infer(&x));
+        let a2 = Relu.infer(&p.l2.infer(&a1));
+        let a3 = Relu.infer(&p.l3.infer(&a2));
+        p.out.infer(&a3).get(0, 0)
     }
 
     fn forward(&self, x: &Mat) -> (Mat, MlpFwdCtx) {
@@ -149,9 +161,9 @@ impl AggMlp {
     pub fn fit(&mut self, data: &[(Vec<f32>, f32)], config: &MlpTrainConfig) -> Vec<f32> {
         assert!(!data.is_empty(), "no training data for the Aggregation MLP");
         // The optimizer mutates layer parameters directly below, bypassing
-        // visit_mut's invalidation hook — drop the pack for the duration
-        // and rebuild it from the final weights on the way out.
-        self.packed = None;
+        // visit_mut's invalidation hook — drop the pack here; the next
+        // prediction rebuilds it from the final weights.
+        self.packed = OnceLock::new();
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut opt = Sgd::new(config.lr, config.momentum);
         let mut order: Vec<usize> = (0..data.len()).collect();
@@ -187,7 +199,6 @@ impl AggMlp {
             }
             curve.push((epoch_loss / data.len() as f64) as f32);
         }
-        self.prepack();
         curve
     }
 
@@ -200,11 +211,9 @@ impl AggMlp {
     }
 
     /// Visits all parameters mutably. Drops the prepacked snapshot (the
-    /// visitor may rewrite weights); re-pack with
-    /// [`prepack`](Self::prepack) when done — prediction falls back to
-    /// the unpacked, bit-identical layers until then.
+    /// visitor may rewrite weights); the next prediction rebuilds it.
     pub fn visit_mut(&mut self, f: &mut dyn FnMut(&mut sns_nn::Param)) {
-        self.packed = None;
+        self.packed = OnceLock::new();
         self.l1.visit_mut(f);
         self.l2.visit_mut(f);
         self.l3.visit_mut(f);
@@ -242,31 +251,41 @@ mod tests {
     }
 
     #[test]
-    fn packed_predict_is_bit_identical_and_tracks_mutation() {
+    fn packed_predict_matches_forward_bitwise() {
         let m = AggMlp::new(7, 9);
         assert!(m.prepack_bytes() > 0);
         let features: Vec<f32> = (0..7).map(|i| (i as f32 - 3.0) * 0.17).collect();
-        let packed_out = m.predict(&features);
-        let mut m2 = m.clone();
-        m2.visit_mut(&mut |_| {});
-        assert_eq!(m2.prepack_bytes(), 0);
-        let unpacked_out = m2.predict(&features);
-        assert_eq!(packed_out.to_bits(), unpacked_out.to_bits());
-        m2.prepack();
-        assert_eq!(m2.predict(&features).to_bits(), packed_out.to_bits());
+        let want = m.forward(&Mat::from_rows(&[&features])).0.get(0, 0);
+        assert_eq!(m.predict(&features).to_bits(), want.to_bits());
     }
 
     #[test]
-    fn fit_leaves_a_fresh_pack() {
+    fn mutation_invalidates_the_plan_and_next_inference_matches_a_fresh_model() {
         let mut m = AggMlp::new(2, 3);
+        assert!(m.packed.get().is_some(), "new() must leave a live plan");
+        let before = m.predict(&[0.1, 0.2]);
+        // fit() mutates the weights behind visit_mut's back; it must still
+        // drop the plan.
         let data = vec![(vec![0.1f32, 0.2], 0.5f32), (vec![0.3, 0.4], 0.7)];
         let cfg = MlpTrainConfig { epochs: 3, batch_size: 2, lr: 1e-3, momentum: 0.9, seed: 1 };
         m.fit(&data, &cfg);
-        assert!(m.prepack_bytes() > 0, "fit must re-pack its final weights");
-        // The pack reflects the trained weights, not the initial ones.
-        let mut unpacked = m.clone();
-        unpacked.packed = None;
-        assert_eq!(m.predict(&[0.1, 0.2]).to_bits(), unpacked.predict(&[0.1, 0.2]).to_bits());
+        assert!(m.packed.get().is_none());
+        let after = m.predict(&[0.1, 0.2]);
+        assert_ne!(after.to_bits(), before.to_bits(), "prediction consulted a stale plan");
+        // So does a mutable visit.
+        m.visit_mut(&mut |p| {
+            for v in p.value.as_mut_slice() {
+                *v *= 1.01;
+            }
+        });
+        assert!(m.packed.get().is_none());
+        let got = m.predict(&[0.1, 0.2]);
+        assert_ne!(got.to_bits(), after.to_bits(), "prediction consulted a stale plan");
+        // The rebuilt plan equals a freshly loaded model's, bit for bit.
+        let mut fresh = AggMlp::new(2, 99);
+        fresh.load(&sns_nn::save_params(|f| m.visit(f))).unwrap();
+        assert!(fresh.packed.get().is_some(), "load() must leave a live plan");
+        assert_eq!(got.to_bits(), fresh.predict(&[0.1, 0.2]).to_bits());
     }
 
     #[test]

@@ -160,10 +160,6 @@ pub fn train_sns_on_labeled(
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut circuitformer = Circuitformer::new(config.circuitformer.clone(), &mut rng);
     let cf_history = cf_train(&mut circuitformer, &train_set, &val_set, &config.cf_train);
-    // Training mutated the parameters (dropping the construction-time
-    // pack); snapshot the final weights so every inference below and every
-    // later prediction runs the prepacked kernels.
-    circuitformer.prepack(sns_nn::QuantMode::F32);
 
     // ---- Aggregation MLPs (§3.4) ----
     let design_labels: Vec<[f64; 3]> = entries
@@ -344,10 +340,8 @@ impl FineTuner {
         }
         use sns_nn::Optimizer as _;
         self.opt.step_visit(&grads, |f| model.circuitformer.visit_mut(f));
-        // The weights changed: re-pack the inference kernels and drop
-        // every cached path prediction.
-        let mode = model.quant_mode();
-        model.circuitformer.prepack(mode);
+        // The weights changed (the visit dropped the inference plan):
+        // drop every cached path prediction too.
         model.clear_cache();
         self.steps += 1;
         loss / normalized.len() as f32

@@ -5,7 +5,7 @@
 //! a time; minibatch parallelism happens one level up (threads × private
 //! [`Grads`]).
 //!
-//! The inference path ([`MultiHeadAttention::infer_masked`]) additionally
+//! The inference path ([`PackedAttention::infer_masked`]) additionally
 //! supports **batched, masked** attention: several sequences packed into
 //! one `[ΣT, d]` matrix, described by [`SeqSpan`]s. Attention is
 //! block-diagonal (a query never attends across a span boundary) and a
@@ -15,7 +15,8 @@
 
 use sns_rt::rng::StdRng;
 
-use crate::linear::{Linear, LinearCtx, PackedLinear, PackedWeights, QuantMode};
+use crate::gemm::PackedB;
+use crate::linear::{Linear, LinearCtx, PackedLinear};
 use crate::mat::Mat;
 use crate::param::{Grads, Param, ParamRegistry};
 
@@ -87,29 +88,21 @@ impl MultiHeadAttention {
         self.heads
     }
 
+    /// Extracts head `h`'s column slice of `m`.
     fn head_cols(&self, m: &Mat, h: usize) -> Mat {
-        self.head_cols_span(m, h, SeqSpan::dense(0, m.rows()))
-    }
-
-    /// Extracts head `h`'s column slice for the rows covered by `span`.
-    fn head_cols_span(&self, m: &Mat, h: usize, span: SeqSpan) -> Mat {
         let dh = self.dim / self.heads;
-        let mut out = Mat::zeros(span.padded, dh);
-        for r in 0..span.padded {
-            out.row_mut(r).copy_from_slice(&m.row(span.start + r)[h * dh..(h + 1) * dh]);
+        let mut out = Mat::zeros(m.rows(), dh);
+        for r in 0..m.rows() {
+            out.row_mut(r).copy_from_slice(&m.row(r)[h * dh..(h + 1) * dh]);
         }
         out
     }
 
+    /// Writes `src` into head `h`'s column slice of `dst`.
     fn scatter_head(&self, dst: &mut Mat, src: &Mat, h: usize) {
-        self.scatter_head_span(dst, src, h, 0);
-    }
-
-    /// Writes `src` into head `h`'s column slice starting at row `start`.
-    fn scatter_head_span(&self, dst: &mut Mat, src: &Mat, h: usize, start: usize) {
         let dh = self.dim / self.heads;
         for r in 0..src.rows() {
-            dst.row_mut(start + r)[h * dh..(h + 1) * dh].copy_from_slice(src.row(r));
+            dst.row_mut(r)[h * dh..(h + 1) * dh].copy_from_slice(src.row(r));
         }
     }
 
@@ -134,54 +127,6 @@ impl MultiHeadAttention {
         }
         let (y, o_ctx) = self.wo.forward(&concat);
         (y, AttentionCtx { q_ctx, k_ctx, v_ctx, o_ctx, q, k, v, attn })
-    }
-
-    /// Batched, masked self-attention over several sequences packed into
-    /// one `[ΣT, dim]` matrix.
-    ///
-    /// The Q/K/V/O projections run once over the whole packed matrix
-    /// (per-row arithmetic, so each row matches its unbatched result
-    /// bit-for-bit). Attention itself is evaluated per span and per head:
-    /// a query row only sees key/value rows of its own span, and key
-    /// columns at positions `>= span.valid` are set to `-inf` before the
-    /// softmax, so padding contributes exactly `+0.0` to every context
-    /// sum. For spans with `valid == padded` (exact-length buckets) the
-    /// score matrix is byte-for-byte the one [`forward`](Self::forward)
-    /// computes for that sequence alone.
-    ///
-    /// Output rows belonging to padding positions are garbage and must be
-    /// discarded by the caller; padded input rows must be finite so they
-    /// cannot poison valid rows through `0.0 * inf`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if spans overlap `x` out of bounds or `valid > padded`.
-    pub fn infer_masked(&self, x: &Mat, spans: &[SeqSpan]) -> Mat {
-        let q = self.wq.infer(x);
-        let k = self.wk.infer(x);
-        let v = self.wv.infer(x);
-        let dh = self.dim / self.heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut concat = Mat::zeros(x.rows(), self.dim);
-        for &span in spans {
-            assert!(span.valid <= span.padded, "span valid exceeds padded");
-            assert!(span.start + span.padded <= x.rows(), "span out of bounds");
-            for h in 0..self.heads {
-                let qh = self.head_cols_span(&q, h, span);
-                let kh = self.head_cols_span(&k, h, span);
-                let vh = self.head_cols_span(&v, h, span);
-                let mut scores = qh.matmul_nt(&kh).scale(scale);
-                if span.valid < span.padded {
-                    for r in 0..span.padded {
-                        scores.row_mut(r)[span.valid..].fill(f32::NEG_INFINITY);
-                    }
-                }
-                let a = scores.softmax_rows();
-                let ctxh = a.matmul(&vh);
-                self.scatter_head_span(&mut concat, &ctxh, h, span.start);
-            }
-        }
-        self.wo.infer(&concat)
     }
 
     /// Backpropagates `dy`, returning `dx`.
@@ -265,17 +210,13 @@ const TQ: usize = 64;
 ///   f32 bit-identity, so the tiling is over whole query rows only: every
 ///   per-row max/exp/sum/divide happens in exactly the
 ///   [`Mat::softmax_rows`] op order, and every GEMM row is the same
-///   ascending-k reduction regardless of tile height. In
-///   [`QuantMode::F32`] the result is therefore bit-identical to
-///   [`MultiHeadAttention::infer_masked`]; memory never exceeds
-///   `O(TQ · T)` per attention tile.
-///
-/// Under [`QuantMode::Int8`] the QKV and output projections run the
-/// quantized prepacked kernel (tolerance-bounded, not bit-compared); the
-/// softmax·V arithmetic itself always stays f32.
+///   ascending-k reduction regardless of tile height. Each span's valid
+///   rows are therefore bit-identical to [`MultiHeadAttention::forward`]
+///   on that sequence alone; memory never exceeds `O(TQ · T)` per
+///   attention tile.
 #[derive(Debug, Clone)]
 pub struct PackedAttention {
-    qkv: PackedWeights,
+    qkv: PackedB,
     qkv_bias: Vec<f32>,
     wo: PackedLinear,
     heads: usize,
@@ -283,8 +224,8 @@ pub struct PackedAttention {
 }
 
 impl PackedAttention {
-    /// Snapshots `mha` under `mode`, fusing the Q/K/V projections.
-    pub fn pack(mha: &MultiHeadAttention, mode: QuantMode) -> PackedAttention {
+    /// Snapshots `mha`, fusing the Q/K/V projections.
+    pub fn pack(mha: &MultiHeadAttention) -> PackedAttention {
         let dim = mha.dim;
         let mut fused = Mat::zeros(dim, 3 * dim);
         for l in 0..dim {
@@ -298,9 +239,9 @@ impl PackedAttention {
         qkv_bias.extend_from_slice(mha.wk.bias());
         qkv_bias.extend_from_slice(mha.wv.bias());
         PackedAttention {
-            qkv: PackedWeights::pack(&fused, mode),
+            qkv: PackedB::pack(fused.as_slice(), dim, 3 * dim),
             qkv_bias,
-            wo: PackedLinear::pack(&mha.wo, mode),
+            wo: PackedLinear::pack(&mha.wo),
             heads: mha.heads,
             dim,
         }
@@ -316,11 +257,6 @@ impl PackedAttention {
         self.qkv.bytes() + self.wo.bytes()
     }
 
-    /// Whether the projections are int8-quantized.
-    pub fn is_int8(&self) -> bool {
-        self.qkv.is_int8()
-    }
-
     /// Copies `rows` rows of the `dh`-wide column window at `col0` out of
     /// the packed `[ΣT, 3·dim]` QKV matrix.
     fn window(qkv: &Mat, row0: usize, rows: usize, col0: usize, dh: usize) -> Mat {
@@ -331,15 +267,27 @@ impl PackedAttention {
         out
     }
 
-    /// Batched, masked self-attention — the packed counterpart of
-    /// [`MultiHeadAttention::infer_masked`], with the same span/masking
-    /// semantics (see there) and, in f32 mode, bit-identical output.
+    /// Batched, masked self-attention over several sequences packed into
+    /// one `[ΣT, dim]` matrix.
+    ///
+    /// The fused QKV and output projections run once over the whole
+    /// packed matrix (per-row arithmetic, so each row matches its
+    /// unbatched result bit-for-bit). Attention itself is evaluated per
+    /// span and per head: a query row only sees key/value rows of its own
+    /// span, and key columns at positions `>= span.valid` are set to
+    /// `-inf` before the softmax, so padding contributes exactly `+0.0`
+    /// to every context sum. Valid rows are therefore bit-identical to
+    /// [`MultiHeadAttention::forward`] on the trimmed sequence.
+    ///
+    /// Output rows belonging to padding positions are garbage and must be
+    /// discarded by the caller; padded input rows must be finite so they
+    /// cannot poison valid rows through `0.0 * inf`.
     ///
     /// # Panics
     ///
     /// Panics if spans overlap `x` out of bounds or `valid > padded`.
     pub fn infer_masked(&self, x: &Mat, spans: &[SeqSpan]) -> Mat {
-        let qkv = self.qkv.matmul(x).add_row_broadcast(&self.qkv_bias);
+        let qkv = x.matmul_prepacked(&self.qkv).add_row_broadcast(&self.qkv_bias);
         let dh = self.dim / self.heads;
         let scale = 1.0 / (dh as f32).sqrt();
         let mut concat = Mat::zeros(x.rows(), self.dim);
@@ -451,28 +399,40 @@ mod tests {
         m
     }
 
+    /// Copies `span`'s valid rows out of the packed matrix.
+    fn trimmed(x: &Mat, span: SeqSpan) -> Mat {
+        let mut solo = Mat::zeros(span.valid, x.cols());
+        for r in 0..span.valid {
+            solo.row_mut(r).copy_from_slice(x.row(span.start + r));
+        }
+        solo
+    }
+
+    /// Fused-QKV + tiled softmax·V over packed spans reproduces each
+    /// standalone forward exactly, across span layouts that are dense,
+    /// cross the TQ tile boundary, carry padding, or are empty.
     #[test]
     fn packed_spans_match_unbatched_forward_bitwise() {
-        // Three sequences of different lengths packed into one matrix
-        // must reproduce each standalone forward exactly.
         let (_, a) = setup(8, 2);
+        let p = PackedAttention::pack(&a);
+        assert_eq!(p.heads(), 2);
+        assert!(p.bytes() >= (3 * 8 * 8 + 8 * 8) * 4);
         let mut rng = StdRng::seed_from_u64(11);
-        let lens = [3usize, 7, 1];
-        let total: usize = lens.iter().sum();
-        let packed = rand_mat(total, 8, &mut rng);
-        let mut spans = Vec::new();
-        let mut start = 0;
-        for &len in &lens {
-            spans.push(SeqSpan::dense(start, len));
-            start += len;
-        }
-        let batched = a.infer_masked(&packed, &spans);
-        for span in &spans {
-            let mut solo = Mat::zeros(span.valid, 8);
-            for r in 0..span.valid {
-                solo.row_mut(r).copy_from_slice(packed.row(span.start + r));
-            }
-            let (want, _) = a.forward(&solo);
+        // Span lengths: mixed dense, tiny, exactly TQ, crossing TQ with
+        // padding, empty, short with padding.
+        let spans = [
+            SeqSpan::dense(0, 3),
+            SeqSpan::dense(3, 7),
+            SeqSpan::dense(10, 1),
+            SeqSpan::dense(11, 64),
+            SeqSpan { start: 75, valid: 70, padded: 77 },
+            SeqSpan { start: 152, valid: 0, padded: 0 },
+            SeqSpan { start: 152, valid: 3, padded: 5 },
+        ];
+        let x = rand_mat(157, 8, &mut rng);
+        let batched = p.infer_masked(&x, &spans);
+        for &span in &spans {
+            let (want, _) = a.forward(&trimmed(&x, span));
             for r in 0..span.valid {
                 for c in 0..8 {
                     assert_eq!(
@@ -491,6 +451,7 @@ mod tests {
         // A padded span must produce the same valid rows regardless of
         // what the padding rows contain.
         let (_, a) = setup(8, 2);
+        let p = PackedAttention::pack(&a);
         let mut rng = StdRng::seed_from_u64(12);
         let valid = 4;
         let padded = 6;
@@ -500,19 +461,15 @@ mod tests {
             x2.row_mut(r).copy_from_slice(rand_mat(1, 8, &mut rng).row(0));
         }
         assert_ne!(x1.row(valid), x2.row(valid));
-        let span = [SeqSpan { start: 0, valid, padded }];
-        let y1 = a.infer_masked(&x1, &span);
-        let y2 = a.infer_masked(&x2, &span);
+        let span = SeqSpan { start: 0, valid, padded };
+        let y1 = p.infer_masked(&x1, &[span]);
+        let y2 = p.infer_masked(&x2, &[span]);
         for r in 0..valid {
             assert_eq!(y1.row(r), y2.row(r), "row {r} leaked padding");
         }
         // And the valid rows match the unbatched forward on the trimmed
         // sequence exactly.
-        let mut solo = Mat::zeros(valid, 8);
-        for r in 0..valid {
-            solo.row_mut(r).copy_from_slice(x1.row(r));
-        }
-        let (want, _) = a.forward(&solo);
+        let (want, _) = a.forward(&trimmed(&x1, span));
         for r in 0..valid {
             for c in 0..8 {
                 assert_eq!(y1.get(r, c).to_bits(), want.get(r, c).to_bits());
@@ -525,68 +482,6 @@ mod tests {
     fn span_past_matrix_end_panics() {
         let (_, a) = setup(8, 2);
         let x = Mat::zeros(4, 8);
-        let _ = a.infer_masked(&x, &[SeqSpan::dense(2, 3)]);
-    }
-
-    /// Fused-QKV + tiled softmax·V is bit-identical to the unpacked
-    /// masked path across span layouts that cross the TQ tile boundary,
-    /// carry padding, or are empty.
-    #[test]
-    fn packed_attention_f32_is_bit_identical() {
-        let (_, a) = setup(8, 2);
-        let p = PackedAttention::pack(&a, QuantMode::F32);
-        assert!(!p.is_int8());
-        assert!(p.bytes() >= (3 * 8 * 8 + 8 * 8) * 4);
-        let mut rng = StdRng::seed_from_u64(31);
-        // Span lengths: tiny, exactly TQ, crossing TQ, padded, empty.
-        let spans = [
-            SeqSpan::dense(0, 1),
-            SeqSpan::dense(1, 64),
-            SeqSpan { start: 65, valid: 70, padded: 77 },
-            SeqSpan { start: 142, valid: 0, padded: 0 },
-            SeqSpan { start: 142, valid: 3, padded: 5 },
-        ];
-        let total = 147;
-        let x = rand_mat(total, 8, &mut rng);
-        let want = a.infer_masked(&x, &spans);
-        let got = p.infer_masked(&x, &spans);
-        for span in &spans {
-            for r in 0..span.valid {
-                for c in 0..8 {
-                    assert_eq!(
-                        got.get(span.start + r, c).to_bits(),
-                        want.get(span.start + r, c).to_bits(),
-                        "span@{} row {r} col {c}",
-                        span.start
-                    );
-                }
-            }
-        }
-    }
-
-    /// Int8 packed attention stays within a small relative error of f32
-    /// on valid rows and is deterministic.
-    #[test]
-    fn packed_attention_int8_is_close() {
-        let (_, a) = setup(8, 2);
-        let p = PackedAttention::pack(&a, QuantMode::Int8);
-        assert!(p.is_int8());
-        let mut rng = StdRng::seed_from_u64(32);
-        let spans = [SeqSpan::dense(0, 5), SeqSpan { start: 5, valid: 4, padded: 6 }];
-        let x = rand_mat(11, 8, &mut rng);
-        let want = a.infer_masked(&x, &spans);
-        let got = p.infer_masked(&x, &spans);
-        assert_eq!(got, p.infer_masked(&x, &spans), "int8 attention must be deterministic");
-        let (mut num, mut den) = (0.0f64, 0.0f64);
-        for span in &spans {
-            for r in 0..span.valid {
-                for (gv, wv) in got.row(span.start + r).iter().zip(want.row(span.start + r)) {
-                    num += (*gv as f64 - *wv as f64).powi(2);
-                    den += (*wv as f64).powi(2);
-                }
-            }
-        }
-        let rel = (num / den.max(1e-30)).sqrt();
-        assert!(rel < 0.15, "int8 attention relative error {rel}");
+        let _ = PackedAttention::pack(&a).infer_masked(&x, &[SeqSpan::dense(2, 3)]);
     }
 }

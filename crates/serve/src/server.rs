@@ -742,10 +742,7 @@ fn route(request: &Request, shared: &Shared) -> Reply {
                 sessions: shared.sessions.session_count(),
             };
             let serving = shared.replicas[0].entry();
-            let kernel_stats = KernelStats {
-                prepack_bytes: serving.model.prepack_bytes(),
-                int8: serving.model.quant_mode() == sns_core::QuantMode::Int8,
-            };
+            let kernel_stats = KernelStats { prepack_bytes: serving.model.prepack_bytes() };
             let models: Vec<Json> = lock_or_recover(&shared.models)
                 .iter()
                 .map(|info| {

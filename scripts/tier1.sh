@@ -11,6 +11,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+# The repo benchmark (perfbench/) is its own workspace and links the
+# public crate APIs; build it so an API change in crates/ cannot break
+# it unseen.
+echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q
 
