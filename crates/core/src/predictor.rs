@@ -326,17 +326,16 @@ impl SnsModel {
         &self.cache
     }
 
-    /// A replica-scoped handle on this model: identical weights, scalers,
+    /// An independent copy of this model: identical weights, scalers,
     /// vocabulary and sampling configuration, but a *fresh, empty*
     /// [`PathPredictionCache`] owned by the new handle alone.
     ///
-    /// This is the unit of scale-out for `sns-shard` mode: each replica
-    /// answers bit-identically to every other (the Circuitformer is pure
-    /// and the cache never changes values, only latency), while cache
-    /// contents stay partitioned so a consistent-hash router preserves
-    /// locality. The weight tensors and prepacked panels are cloned per
-    /// replica — a deliberate trade: replicas share nothing mutable, and
-    /// each one's working set stays local to the cores serving it.
+    /// A fork answers bit-identically to its parent (the Circuitformer is
+    /// pure and the cache never changes values, only latency) but shares
+    /// nothing mutable with it; the weight tensors and prepacked panels
+    /// are cloned. The fine-tuning tests in `crate::train` tune forks of
+    /// one trained model, and the repository benchmark replays requests
+    /// on a cold-cache fork of the served model.
     pub fn fork_replica(&self) -> SnsModel {
         let mut replica = self.clone();
         replica.cache = PathPredictionCache::new();

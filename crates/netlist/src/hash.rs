@@ -93,9 +93,8 @@ impl Fnv128 {
 
 /// FNV-128 over raw bytes: the same double-stream accumulator the module
 /// content hashes use, exposed for callers that key on opaque byte
-/// content rather than an AST — e.g. the `sns-serve` consistent-hash
-/// replica router, which keys requests on design/base-token content so
-/// identical designs always land on the same replica's caches.
+/// content rather than an AST — e.g. the model weight hash that names a
+/// zoo checkpoint.
 pub fn fnv128_bytes(bytes: &[u8]) -> [u64; 2] {
     let mut h = Fnv128::new();
     for &b in bytes {

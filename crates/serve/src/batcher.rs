@@ -1,7 +1,7 @@
-//! The per-replica micro-batcher.
+//! The micro-batcher.
 //!
 //! Each `/predict` handler discovers which of its path token sequences
-//! are missing from its replica's [`PathPredictionCache`] and submits
+//! are missing from the serving model's [`PathPredictionCache`] and submits
 //! them here instead of running inference itself. The batcher thread
 //! serves submissions **FIFO in bounded fill rounds**: it pops the
 //! oldest job, re-filters its sequences against the cache (anything an
@@ -43,7 +43,7 @@ use std::time::Instant;
 
 use sns_core::SnsModel;
 
-use crate::metrics::{Metrics, ReplicaStats};
+use crate::metrics::Metrics;
 
 /// Locks a mutex, recovering the guard from a poisoned lock. The values
 /// behind every lock in this crate are state machines that tolerate a
@@ -109,7 +109,8 @@ struct Shared {
     shutdown: AtomicBool,
 }
 
-/// Owns one replica's batcher thread; dropped by the server on shutdown.
+/// Owns one model generation's batcher thread; dropped with the
+/// generation (on hot-swap or server shutdown).
 pub struct MicroBatcher {
     shared: Arc<Shared>,
     worker: Option<JoinHandle<()>>,
@@ -118,7 +119,7 @@ pub struct MicroBatcher {
 impl MicroBatcher {
     /// Starts the batcher thread for `model`, filling the model's cache
     /// with `threads`-parallel, `batch`-packed rounds. Round counters go
-    /// to both the global `metrics` and this replica's `stats`.
+    /// to `metrics`.
     ///
     /// # Errors
     ///
@@ -128,7 +129,6 @@ impl MicroBatcher {
         threads: usize,
         batch: usize,
         metrics: Arc<Metrics>,
-        stats: Arc<ReplicaStats>,
     ) -> std::io::Result<Self> {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
@@ -138,18 +138,11 @@ impl MicroBatcher {
         let worker_shared = Arc::clone(&shared);
         let worker = std::thread::Builder::new()
             .name("sns-batcher".into())
-            .spawn(move || Self::run(&worker_shared, &model, threads, batch, &metrics, &stats))?;
+            .spawn(move || Self::run(&worker_shared, &model, threads, batch, &metrics))?;
         Ok(MicroBatcher { shared, worker: Some(worker) })
     }
 
-    fn run(
-        shared: &Shared,
-        model: &SnsModel,
-        threads: usize,
-        batch: usize,
-        metrics: &Metrics,
-        stats: &ReplicaStats,
-    ) {
+    fn run(shared: &Shared, model: &SnsModel, threads: usize, batch: usize, metrics: &Metrics) {
         let round_cap = batch.max(1);
         loop {
             let first: Job = {
@@ -189,14 +182,11 @@ impl MicroBatcher {
             if !union.is_empty() {
                 metrics.batch_rounds.fetch_add(1, Ordering::Relaxed);
                 metrics.batched_seqs.fetch_add(union.len() as u64, Ordering::Relaxed);
-                stats.batch_rounds.fetch_add(1, Ordering::Relaxed);
-                stats.batched_seqs.fetch_add(union.len() as u64, Ordering::Relaxed);
                 model
                     .cache()
                     .compute_batched(union, threads, batch, |chunk| model.predict_path_batch(chunk));
             }
             metrics.coalesced_jobs.fetch_add(gates.len() as u64, Ordering::Relaxed);
-            stats.coalesced_jobs.fetch_add(gates.len() as u64, Ordering::Relaxed);
             for gate in gates {
                 gate.open();
             }
@@ -218,8 +208,8 @@ impl MicroBatcher {
         gate
     }
 
-    /// Jobs currently waiting in the queue (exported per replica as
-    /// `queue_depth` in `/metrics`).
+    /// Jobs currently waiting in the queue (exported as
+    /// `batcher.queue_depth` in `/metrics`).
     pub fn queue_depth(&self) -> usize {
         lock_or_recover(&self.shared.queue).len()
     }

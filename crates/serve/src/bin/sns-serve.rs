@@ -2,14 +2,13 @@
 //! predictions over HTTP until SIGTERM/ctrl-C, then drain and exit.
 //!
 //! ```text
-//! sns-serve --model model.json [--addr 127.0.0.1:7878] [--replicas N] [--zoo DIR]
-//! sns-serve --zoo zoo/         [--addr 127.0.0.1:7878] [--replicas N]   # latest checkpoint
-//! sns-serve --train 8          [--addr 127.0.0.1:7878] [--replicas N]   # demo model
+//! sns-serve --model model.json [--addr 127.0.0.1:7878] [--zoo DIR]
+//! sns-serve --zoo zoo/         [--addr 127.0.0.1:7878]   # latest checkpoint
+//! sns-serve --train 8          [--addr 127.0.0.1:7878]   # demo model
 //! ```
 //!
-//! `--replicas N` (or `SNS_REPLICAS=N`) enables **sns-shard mode**: N
-//! model replicas, each with a private path cache and micro-batcher,
-//! behind a consistent-hash router keyed on design content.
+//! An unknown flag, a flag given twice or a flag without its value
+//! prints the usage text and exits with status 2.
 //!
 //! `--zoo DIR` (or `SNS_ZOO_DIR`) points at a versioned model zoo (as
 //! written by `sns-train`); without `--model`/`--train` the latest
@@ -17,9 +16,8 @@
 //! latest checkpoint on **SIGHUP** or `POST /admin/reload` without
 //! dropping in-flight requests.
 //!
-//! Environment knobs: SNS_REPLICAS, SNS_WORKERS (alias
-//! SNS_SERVE_WORKERS), SNS_QUEUE_CAP, SNS_MAX_CONNS, SNS_MAX_BODY,
-//! SNS_DEADLINE_MS, SNS_CACHE_CAP, SNS_THREADS, SNS_BATCH,
+//! Environment knobs: SNS_WORKERS, SNS_QUEUE_CAP, SNS_MAX_CONNS,
+//! SNS_MAX_BODY, SNS_DEADLINE_MS, SNS_CACHE_CAP, SNS_THREADS, SNS_BATCH,
 //! SNS_SESSION_CAP, SNS_ELAB_CACHE_CAP, SNS_ZOO_DIR.
 
 use std::process::ExitCode;
@@ -66,39 +64,62 @@ mod sig {
     }
 }
 
-fn arg(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
+/// Every flag the daemon accepts; each takes one value.
+const FLAGS: &[&str] = &["--addr", "--model", "--zoo", "--train"];
+
+/// The command line as `(flag, value)` pairs, or a message naming the
+/// first unknown, repeated or value-less flag.
+fn parse_args(args: &[String]) -> Result<Vec<(&'static str, String)>, String> {
+    let mut parsed: Vec<(&'static str, String)> = Vec::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let Some(&flag) = FLAGS.iter().find(|&&f| f == a) else {
+            return Err(format!("unknown argument `{a}`"));
+        };
+        if parsed.iter().any(|(f, _)| *f == flag) {
+            return Err(format!("`{flag}` given twice"));
+        }
+        match it.next() {
+            Some(v) if !v.starts_with("--") => parsed.push((flag, v.clone())),
+            _ => return Err(format!("`{flag}` needs a value")),
+        }
+    }
+    Ok(parsed)
 }
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage:
-  sns-serve --model <model.json> [--addr <ip:port>] [--replicas <n>] [--zoo <dir>]
-  sns-serve --zoo <dir>          [--addr <ip:port>] [--replicas <n>]
-  sns-serve --train <n-designs>  [--addr <ip:port>] [--replicas <n>]
+  sns-serve --model <model.json> [--addr <ip:port>] [--zoo <dir>]
+  sns-serve --zoo <dir>          [--addr <ip:port>]
+  sns-serve --train <n-designs>  [--addr <ip:port>]
 
 SIGHUP or POST /admin/reload hot-swaps to the zoo's latest checkpoint.
 
-env: SNS_REPLICAS SNS_WORKERS SNS_QUEUE_CAP SNS_MAX_CONNS SNS_MAX_BODY
-     SNS_DEADLINE_MS SNS_CACHE_CAP SNS_THREADS SNS_BATCH SNS_SESSION_CAP
+env: SNS_WORKERS SNS_QUEUE_CAP SNS_MAX_CONNS SNS_MAX_BODY SNS_DEADLINE_MS
+     SNS_CACHE_CAP SNS_THREADS SNS_BATCH SNS_SESSION_CAP
      SNS_ELAB_CACHE_CAP SNS_ZOO_DIR"
     );
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&raw) {
+        Ok(args) => args,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            return usage();
+        }
+    };
+    let arg = |name: &str| args.iter().find(|(f, _)| *f == name).map(|(_, v)| v.clone());
     let mut config = ServeConfig::from_env();
-    config.addr = arg(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".to_string());
-    if let Some(n) = arg(&args, "--replicas") {
-        let Ok(n) = n.parse::<usize>() else { return usage() };
-        config.replicas = n.max(1);
-    }
-    if let Some(dir) = arg(&args, "--zoo") {
+    config.addr = arg("--addr").unwrap_or_else(|| "127.0.0.1:7878".to_string());
+    if let Some(dir) = arg("--zoo") {
         config.zoo_dir = Some(dir.into());
     }
 
-    let (model, model_id) = if let Some(path) = arg(&args, "--model") {
+    let (model, model_id) = if let Some(path) = arg("--model") {
         eprintln!("loading model from {path}...");
         match sns_core::load_model(&path) {
             Ok(m) => (m, "boot".to_string()),
@@ -107,7 +128,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-    } else if let Some(n) = arg(&args, "--train") {
+    } else if let Some(n) = arg("--train") {
         let Ok(n) = n.parse::<usize>() else { return usage() };
         let designs: Vec<_> = sns_designs::catalog().into_iter().take(n.max(2)).collect();
         eprintln!("training a demo model on {} designs (fast schedule)...", designs.len());
@@ -139,9 +160,8 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "sns-serve listening on http://{} (replicas={}, workers={}, threads={}, batch={}, queue_cap={}, max_conns={}, cache_cap={}, deadline={})",
+        "sns-serve listening on http://{} (workers={}, threads={}, batch={}, queue_cap={}, max_conns={}, cache_cap={}, deadline={})",
         server.addr(),
-        config.replicas,
         config.workers,
         config.threads,
         config.batch,
@@ -176,4 +196,33 @@ fn main() -> ExitCode {
         metrics.predict_ok.load(Ordering::Relaxed),
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn known_flags_parse_into_pairs() {
+        let parsed = parse_args(&args(&["--zoo", "z", "--addr", "127.0.0.1:0"])).unwrap();
+        assert_eq!(parsed, vec![("--zoo", "z".to_string()), ("--addr", "127.0.0.1:0".to_string())]);
+        assert!(parse_args(&[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn unknown_repeated_and_valueless_flags_are_rejected() {
+        for bad in [
+            &["--zoo", "z", "--workers", "4"][..],
+            &["model.json"],
+            &["--model"],
+            &["--model", "--zoo", "z"],
+            &["--zoo", "a", "--zoo", "b"],
+        ] {
+            assert!(parse_args(&args(bad)).is_err(), "{bad:?} must be rejected");
+        }
+    }
 }

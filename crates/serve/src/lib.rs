@@ -41,22 +41,17 @@
 //! connection-table entry, never a thread, and cannot head-of-line-block
 //! other requests.
 //!
-//! ## Replica sharding (`sns-shard` mode)
+//! ## One model slot
 //!
-//! With `SNS_REPLICAS=N` the server runs N model replicas, each owning a
-//! private path-prediction cache and [`MicroBatcher`](batcher::MicroBatcher),
-//! behind a consistent-hash router ([`shard`]) keyed on design content
-//! (FNV-128 of the Verilog + top, or of the session base token for ECO
-//! patches). Identical designs always land on the same warm cache;
-//! killing a replica moves only its keys (clean `503`s for requests
-//! caught mid-flight), and a revived replica resumes its old range.
-//! `/metrics` gains per-replica queue depth, shed counts, cache stats,
-//! and reactor loop latency.
+//! The server holds one swappable model generation: the model, its
+//! path-prediction cache and its [`MicroBatcher`](batcher::MicroBatcher).
+//! Each request pins the generation it starts on, so a hot-swap
+//! (`POST /admin/reload`, SIGHUP) never mixes two models in one answer.
 //!
 //! ## Throughput under concurrency
 //!
 //! Concurrent requests do not run inference independently: each handler
-//! submits its *uncached* path sequences to its replica's
+//! submits its *uncached* path sequences to the
 //! [`MicroBatcher`](batcher::MicroBatcher), which serves jobs FIFO in
 //! rounds bounded at about one `SNS_BATCH` of unique sequences —
 //! cross-request de-duplication happens both inside a round (the union
@@ -85,8 +80,7 @@
 //! panic costs one `500` (and bumps the `panics_total` metric) rather
 //! than the worker thread.
 //!
-//! Environment knobs: `SNS_REPLICAS`, `SNS_WORKERS` (alias
-//! `SNS_SERVE_WORKERS`), `SNS_QUEUE_CAP`, `SNS_MAX_CONNS`,
+//! Environment knobs: `SNS_WORKERS`, `SNS_QUEUE_CAP`, `SNS_MAX_CONNS`,
 //! `SNS_MAX_BODY`, `SNS_DEADLINE_MS`, `SNS_CACHE_CAP` (0 = unbounded),
 //! plus the model-level `SNS_THREADS` / `SNS_BATCH` and the elaboration
 //! budgets above.
@@ -96,13 +90,8 @@ pub mod http;
 pub mod metrics;
 pub(crate) mod reactor;
 pub mod server;
-pub mod shard;
 
 pub use batcher::MicroBatcher;
 pub use http::{read_request, write_response, HttpError, Request};
-pub use metrics::{
-    CacheStats, ElabCacheStats, Histogram, KernelStats, Metrics, ModelTally, ReplicaSnapshot,
-    ReplicaStats,
-};
+pub use metrics::{CacheStats, ElabCacheStats, Histogram, KernelStats, Metrics, ModelTally};
 pub use server::{ReloadError, ReloadOutcome, ServeConfig, Server};
-pub use shard::{design_key, token_key, HashRing, RouteChoice};

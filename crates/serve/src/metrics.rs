@@ -107,9 +107,6 @@ pub struct Metrics {
     /// Connections closed with 408 because the peer did not deliver a
     /// complete request within the read deadline (slow-loris defence).
     pub read_timeouts: AtomicU64,
-    /// Requests the consistent-hash router re-homed because the primary
-    /// replica for their key was marked dead.
-    pub router_failovers: AtomicU64,
     /// Completed model hot-swaps (`POST /admin/reload` or SIGHUP) that
     /// actually installed a new model. A reload that found the serving
     /// weights already current is not a swap.
@@ -175,74 +172,6 @@ impl ModelTally {
     }
 }
 
-/// Per-replica service counters, shared between the router, the
-/// replica's micro-batcher, and the `/metrics` exporter. Plain atomics,
-/// same discipline as [`Metrics`].
-#[derive(Debug, Default)]
-pub struct ReplicaStats {
-    /// Requests the router homed on this replica.
-    pub routed: AtomicU64,
-    /// Routed requests that ran the full pipeline here (any status).
-    pub completed: AtomicU64,
-    /// Routed requests shed with 503 because the replica was marked dead
-    /// mid-flight.
-    pub shed: AtomicU64,
-    /// Gauge: routed requests not yet completed or shed.
-    pub in_flight: AtomicU64,
-    /// This replica's micro-batcher: fill rounds executed.
-    pub batch_rounds: AtomicU64,
-    /// This replica's micro-batcher: jobs served.
-    pub coalesced_jobs: AtomicU64,
-    /// This replica's micro-batcher: unique sequences computed.
-    pub batched_seqs: AtomicU64,
-}
-
-/// A point-in-time view of one replica for the `/metrics` export,
-/// assembled by the server from [`ReplicaStats`], the replica's
-/// liveness flag, its batcher queue, and its private cache.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReplicaSnapshot {
-    /// Whether the router currently considers this replica alive.
-    pub alive: bool,
-    /// See [`ReplicaStats::routed`].
-    pub routed: u64,
-    /// See [`ReplicaStats::completed`].
-    pub completed: u64,
-    /// See [`ReplicaStats::shed`].
-    pub shed: u64,
-    /// See [`ReplicaStats::in_flight`].
-    pub in_flight: u64,
-    /// Jobs waiting in this replica's micro-batcher queue.
-    pub queue_depth: u64,
-    /// See [`ReplicaStats::batch_rounds`].
-    pub batch_rounds: u64,
-    /// See [`ReplicaStats::coalesced_jobs`].
-    pub coalesced_jobs: u64,
-    /// See [`ReplicaStats::batched_seqs`].
-    pub batched_seqs: u64,
-    /// This replica's private path-prediction cache.
-    pub cache: CacheStats,
-}
-
-impl ReplicaStats {
-    /// Snapshots the atomic counters together with externally owned state
-    /// (liveness, batcher queue depth, cache stats).
-    pub fn snapshot(&self, alive: bool, queue_depth: u64, cache: CacheStats) -> ReplicaSnapshot {
-        ReplicaSnapshot {
-            alive,
-            routed: self.routed.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Relaxed),
-            queue_depth,
-            batch_rounds: self.batch_rounds.load(Ordering::Relaxed),
-            coalesced_jobs: self.coalesced_jobs.load(Ordering::Relaxed),
-            batched_seqs: self.batched_seqs.load(Ordering::Relaxed),
-            cache,
-        }
-    }
-}
-
 /// Cache statistics snapshot merged into the export by the server (the
 /// cache itself lives on the model).
 #[derive(Debug, Clone, Copy, Default)]
@@ -296,63 +225,21 @@ impl Metrics {
 
     /// The full `/metrics` document.
     ///
-    /// `replicas` carries one snapshot per model replica; the top-level
-    /// `cache` section aggregates across them (sums of entries / hits /
-    /// misses / evictions, so the `entries == misses − evictions`
-    /// invariant survives sharding; `capacity` is the *per-replica*
-    /// bound). The per-replica detail is exported under `"replicas"`.
+    /// `cache` is the serving model's path cache and
+    /// `batcher_queue_depth` the jobs waiting in its micro-batcher
+    /// (exported as `batcher.queue_depth`).
     ///
     /// `models` carries one pre-assembled object per model the server
     /// has ever served (id, weight hash, [`ModelTally`] counters); it is
     /// exported verbatim under `"models"` alongside the swap counters.
     pub fn to_json(
         &self,
-        replicas: &[ReplicaSnapshot],
+        cache: CacheStats,
+        batcher_queue_depth: u64,
         elab: ElabCacheStats,
         kernels: KernelStats,
         models: Vec<Json>,
     ) -> Json {
-        let cache = CacheStats {
-            entries: replicas.iter().map(|r| r.cache.entries).sum(),
-            capacity: replicas.first().and_then(|r| r.cache.capacity),
-            hits: replicas.iter().map(|r| r.cache.hits).sum(),
-            misses: replicas.iter().map(|r| r.cache.misses).sum(),
-            evictions: replicas.iter().map(|r| r.cache.evictions).sum(),
-        };
-        let replica_json: Vec<Json> = replicas
-            .iter()
-            .map(|r| {
-                let lookups = r.cache.hits + r.cache.misses;
-                let hit_rate =
-                    if lookups == 0 { 0.0 } else { r.cache.hits as f64 / lookups as f64 };
-                Json::obj(vec![
-                    ("alive", Json::Bool(r.alive)),
-                    ("routed", Json::UInt(r.routed)),
-                    ("completed", Json::UInt(r.completed)),
-                    ("shed", Json::UInt(r.shed)),
-                    ("in_flight", Json::UInt(r.in_flight)),
-                    ("queue_depth", Json::UInt(r.queue_depth)),
-                    (
-                        "batcher",
-                        Json::obj(vec![
-                            ("rounds", Json::UInt(r.batch_rounds)),
-                            ("coalesced_jobs", Json::UInt(r.coalesced_jobs)),
-                            ("batched_seqs", Json::UInt(r.batched_seqs)),
-                        ]),
-                    ),
-                    (
-                        "cache",
-                        Json::obj(vec![
-                            ("entries", Json::UInt(r.cache.entries as u64)),
-                            ("hits", Json::UInt(r.cache.hits)),
-                            ("misses", Json::UInt(r.cache.misses)),
-                            ("evictions", Json::UInt(r.cache.evictions)),
-                            ("hit_rate", Json::Num(hit_rate)),
-                        ]),
-                    ),
-                ])
-            })
-            .collect();
         let lookups = cache.hits + cache.misses;
         let hit_rate =
             if lookups == 0 { 0.0 } else { cache.hits as f64 / lookups as f64 };
@@ -422,19 +309,12 @@ impl Metrics {
                     ("rounds", Self::g(&self.batch_rounds)),
                     ("coalesced_jobs", Self::g(&self.coalesced_jobs)),
                     ("batched_seqs", Self::g(&self.batched_seqs)),
-                ]),
-            ),
-            (
-                "router",
-                Json::obj(vec![
-                    ("replicas", Json::UInt(replicas.len() as u64)),
-                    ("failovers", Self::g(&self.router_failovers)),
+                    ("queue_depth", Json::UInt(batcher_queue_depth)),
                 ]),
             ),
             ("model_swaps", Self::g(&self.model_swaps)),
             ("reload_errors", Self::g(&self.reload_errors)),
             ("models", Json::Arr(models)),
-            ("replicas", Json::Arr(replica_json)),
             (
                 "stages_us",
                 Json::obj(vec![
@@ -490,15 +370,10 @@ mod tests {
         let m = Metrics::default();
         m.requests_total.fetch_add(3, Ordering::Relaxed);
         m.stage_total.record(Duration::from_millis(2));
-        let stats = ReplicaStats::default();
-        stats.routed.fetch_add(9, Ordering::Relaxed);
-        let snap = stats.snapshot(
-            true,
-            2,
-            CacheStats { entries: 7, capacity: Some(100), hits: 3, misses: 1, evictions: 0 },
-        );
+        m.batch_rounds.fetch_add(9, Ordering::Relaxed);
         let j = m.to_json(
-            &[snap],
+            CacheStats { entries: 7, capacity: Some(100), hits: 3, misses: 1, evictions: 0 },
+            2,
             ElabCacheStats {
                 entries: 5,
                 capacity: Some(1024),
@@ -523,13 +398,11 @@ mod tests {
         let kernels = j.get("kernels").unwrap();
         assert_eq!(kernels.get("prepack_bytes").unwrap().as_u64().unwrap(), 4096);
         assert!(j.get("stages_us").unwrap().get("total").unwrap().get("count").is_ok());
-        let router = j.get("router").unwrap();
-        assert_eq!(router.get("replicas").unwrap().as_u64().unwrap(), 1);
-        let replicas = j.get("replicas").unwrap().as_arr().unwrap();
-        assert_eq!(replicas.len(), 1);
-        assert!(replicas[0].get("alive").unwrap().as_bool().unwrap());
-        assert_eq!(replicas[0].get("routed").unwrap().as_u64().unwrap(), 9);
-        assert_eq!(replicas[0].get("queue_depth").unwrap().as_u64().unwrap(), 2);
+        let batcher = j.get("batcher").unwrap();
+        assert_eq!(batcher.get("rounds").unwrap().as_u64().unwrap(), 9);
+        assert_eq!(batcher.get("queue_depth").unwrap().as_u64().unwrap(), 2);
+        assert!(j.get("router").is_err(), "no router section");
+        assert!(j.get("replicas").is_err(), "no replicas section");
         assert!(j.get("reactor_loop_us").unwrap().get("count").is_ok());
         assert_eq!(j.get("model_swaps").unwrap().as_u64().unwrap(), 0);
         let models = j.get("models").unwrap().as_arr().unwrap();
@@ -537,38 +410,5 @@ mod tests {
         assert_eq!(models[0].get("id").unwrap().as_str().unwrap(), "m-000001");
         // The export is valid JSON text.
         sns_rt::json::parse(&j.print()).unwrap();
-    }
-
-    #[test]
-    fn aggregate_cache_preserves_the_entries_invariant_across_replicas() {
-        let m = Metrics::default();
-        let snaps: Vec<ReplicaSnapshot> = (0..4u64)
-            .map(|i| {
-                ReplicaStats::default().snapshot(
-                    i != 2,
-                    0,
-                    CacheStats {
-                        entries: (10 + i) as usize,
-                        capacity: Some(100),
-                        hits: 5 * i,
-                        misses: 10 + i + 3, // evictions = 3 per replica
-                        evictions: 3,
-                    },
-                )
-            })
-            .collect();
-        let j = m.to_json(&snaps, ElabCacheStats::default(), KernelStats::default(), Vec::new());
-        let cache = j.get("cache").unwrap();
-        let entries = cache.get("entries").unwrap().as_u64().unwrap();
-        let misses = cache.get("misses").unwrap().as_u64().unwrap();
-        let evictions = cache.get("evictions").unwrap().as_u64().unwrap();
-        // Summing per-replica stats keeps the seed invariant intact.
-        assert_eq!(entries, misses - evictions);
-        assert_eq!(j.get("replicas").unwrap().as_arr().unwrap().len(), 4);
-        assert!(!j.get("replicas").unwrap().as_arr().unwrap()[2]
-            .get("alive")
-            .unwrap()
-            .as_bool()
-            .unwrap());
     }
 }

@@ -1,24 +1,21 @@
-//! Server assembly: the reactor thread, the worker pool, the replica
-//! set with its consistent-hash router, and the `/predict` pipeline.
+//! Server assembly: the reactor thread, the worker pool, the swappable
+//! model slot, and the `/predict` pipeline.
 //!
 //! ```text
-//! reactor ──► dispatch queue ──► workers ──► router (FNV-128 of content)
-//!    ▲  (full → 503 + Retry-After)  │            │
-//!    │                              │            ▼ replica k (alive?)
-//!    └── completions + waker ◄──────┘   parse ► sample ► batcher_k ► cache_k
+//! reactor ──► dispatch queue ──► workers ──► model slot (pin one generation)
+//!    ▲  (full → 503 + Retry-After)  │                  │
+//!    │                              │                  ▼
+//!    └── completions + waker ◄──────┘   parse ► sample ► batcher ► cache
 //!                                                └─► reduce + MLP (predict_primed)
 //! ```
 //!
 //! Connection I/O lives entirely on the reactor thread
 //! ([`crate::reactor`]); workers only ever see complete requests, so
-//! inference latency and socket behaviour cannot interfere. In
-//! **shard mode** (`replicas > 1`) each replica owns a full model clone
-//! with a private path cache and micro-batcher; the router keys on
-//! design content (see [`crate::shard`]) so identical designs always
-//! land on the same warm cache. Replicas can be marked dead
-//! ([`Server::kill_replica`]) — in-flight requests routed there get a
-//! clean `503` at the next stage boundary, new requests fail over along
-//! the ring, and a revived replica resumes exactly its old key range.
+//! inference latency and socket behaviour cannot interfere. Every
+//! request runs on the one model generation in the slot when it starts:
+//! the model, its path cache and its micro-batcher. A hot-swap installs
+//! a new generation without touching requests already pinned to the old
+//! one.
 //!
 //! Every stage boundary checks the per-request deadline, so a request
 //! that has already blown `SNS_DEADLINE_MS` never starts sampling or
@@ -44,11 +41,8 @@ use sns_sampler::PathSampler;
 
 use crate::batcher::MicroBatcher;
 use crate::http::{build_response, Request};
-use crate::metrics::{
-    CacheStats, ElabCacheStats, KernelStats, Metrics, ModelTally, ReplicaSnapshot, ReplicaStats,
-};
+use crate::metrics::{CacheStats, ElabCacheStats, KernelStats, Metrics, ModelTally};
 use crate::reactor::reactor_loop;
-use crate::shard::{design_key, token_key, HashRing};
 
 /// Locks a mutex, recovering from poisoning (see `batcher.rs` for the
 /// rationale; the serve front-end must stay panic-free regardless).
@@ -77,7 +71,7 @@ pub struct ServeConfig {
     pub max_body: usize,
     /// Per-request deadline; stages are never started past it (`504`).
     pub deadline: Option<Duration>,
-    /// Entry cap installed on each replica's path cache (`None` =
+    /// Entry cap installed on the serving model's path cache (`None` =
     /// unbounded).
     pub cache_cap: Option<usize>,
     /// Inference pool threads per batch round (`SNS_THREADS`).
@@ -92,9 +86,6 @@ pub struct ServeConfig {
     pub session_cap: usize,
     /// Module-elaboration-unit cache entries (`SNS_ELAB_CACHE_CAP`).
     pub elab_cache_cap: usize,
-    /// Model replicas behind the consistent-hash router (`SNS_REPLICAS`).
-    /// 1 = classic single-replica serving.
-    pub replicas: usize,
     /// Connection-count cap; accepts beyond it are shed with `503`
     /// (`SNS_MAX_CONNS`).
     pub max_conns: usize,
@@ -123,7 +114,6 @@ impl Default for ServeConfig {
             read_timeout: Duration::from_secs(10),
             session_cap: sns_core::session::DEFAULT_SESSION_CAP,
             elab_cache_cap: ModuleElabCache::DEFAULT_CAPACITY,
-            replicas: 1,
             max_conns: 1024,
             debug_hooks: false,
             zoo_dir: None,
@@ -133,14 +123,13 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// The default configuration with every `SNS_*` environment knob
-    /// applied: `SNS_WORKERS` (alias `SNS_SERVE_WORKERS`),
-    /// `SNS_QUEUE_CAP`, `SNS_MAX_BODY`, `SNS_DEADLINE_MS`,
-    /// `SNS_CACHE_CAP` (0 = unbounded), `SNS_THREADS`, `SNS_BATCH`,
-    /// `SNS_SESSION_CAP`, `SNS_ELAB_CACHE_CAP`, `SNS_REPLICAS`,
+    /// applied: `SNS_WORKERS`, `SNS_QUEUE_CAP`, `SNS_MAX_BODY`,
+    /// `SNS_DEADLINE_MS`, `SNS_CACHE_CAP` (0 = unbounded), `SNS_THREADS`,
+    /// `SNS_BATCH`, `SNS_SESSION_CAP`, `SNS_ELAB_CACHE_CAP`,
     /// `SNS_MAX_CONNS`, `SNS_ZOO_DIR`.
     pub fn from_env() -> Self {
         let mut c = ServeConfig::default();
-        if let Some(n) = env_usize("SNS_WORKERS").or_else(|| env_usize("SNS_SERVE_WORKERS")) {
+        if let Some(n) = env_usize("SNS_WORKERS") {
             c.workers = n;
         }
         if let Some(n) = env_usize("SNS_QUEUE_CAP") {
@@ -164,9 +153,6 @@ impl ServeConfig {
         }
         if let Some(n) = env_usize("SNS_ELAB_CACHE_CAP") {
             c.elab_cache_cap = n;
-        }
-        if let Some(n) = env_usize("SNS_REPLICAS") {
-            c.replicas = n;
         }
         if let Some(n) = env_usize("SNS_MAX_CONNS") {
             c.max_conns = n;
@@ -193,10 +179,10 @@ pub(crate) struct Completion {
     pub bytes: Vec<u8>,
 }
 
-/// One generation of the model behind a replica slot: the model clone
-/// with its private path cache, the micro-batcher filling that cache,
-/// and the zoo identity the server reports for every prediction it
-/// makes. Hot-swapping installs a new `Arc<ModelEntry>` in the slot;
+/// One generation of the serving model: the model with its path cache,
+/// the micro-batcher filling that cache, and the zoo identity the server
+/// reports for every prediction it makes. Hot-swapping installs a new
+/// `Arc<ModelEntry>` in the slot;
 /// requests already holding the old `Arc` finish on the model they
 /// started with (bit-identical to a direct call on it), and the old
 /// generation — batcher thread included — is torn down when the last
@@ -207,32 +193,6 @@ pub(crate) struct ModelEntry {
     pub model_id: String,
     pub weight_hash: String,
     pub tally: Arc<ModelTally>,
-}
-
-/// One model replica: a swappable [`ModelEntry`] slot, per-replica
-/// counters, and a liveness flag the chaos tests (and an eventual health
-/// checker) flip. Liveness and routing identity survive a model swap —
-/// only the entry changes.
-pub(crate) struct Replica {
-    pub entry: Mutex<Arc<ModelEntry>>,
-    pub stats: Arc<ReplicaStats>,
-    pub alive: AtomicBool,
-}
-
-impl Replica {
-    fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::SeqCst)
-    }
-
-    /// The current model generation. The lock is held only for the
-    /// `Arc` clone; handlers pin one generation per request.
-    pub(crate) fn entry(&self) -> Arc<ModelEntry> {
-        Arc::clone(&lock_or_recover(&self.entry))
-    }
-
-    fn install(&self, entry: Arc<ModelEntry>) {
-        *lock_or_recover(&self.entry) = entry;
-    }
 }
 
 /// A model known to the `/metrics` registry: identity plus its tally.
@@ -246,22 +206,29 @@ pub(crate) struct ModelInfo {
 pub(crate) struct Shared {
     pub config: ServeConfig,
     pub metrics: Arc<Metrics>,
-    pub replicas: Vec<Replica>,
-    pub ring: HashRing,
-    /// Session store is deliberately shared across replicas: base tokens
-    /// are content-addressed, and ECO requests route by token so the
-    /// replica-local path caches still get affinity.
+    /// The serving model generation; see [`Shared::entry`].
+    pub entry: Mutex<Arc<ModelEntry>>,
+    /// ECO base sessions. Terminal samples depend only on the sample
+    /// config, so sessions survive a weight swap.
     pub sessions: SessionStore,
     /// Every model this server has served, for per-model metrics.
     pub models: Mutex<Vec<ModelInfo>>,
     /// Serializes hot-swaps (`/admin/reload`, SIGHUP) so two concurrent
-    /// reloads cannot interleave replica installs.
+    /// reloads cannot interleave their check-and-install.
     pub reload_lock: Mutex<()>,
     pub dispatch: Mutex<VecDeque<Job>>,
     pub dispatch_cv: Condvar,
     pub completions: Mutex<Vec<Completion>>,
     pub waker: Waker,
     pub shutdown: AtomicBool,
+}
+
+impl Shared {
+    /// The current model generation. The lock is held only for the
+    /// `Arc` clone; handlers pin one generation per request.
+    pub(crate) fn entry(&self) -> Arc<ModelEntry> {
+        Arc::clone(&lock_or_recover(&self.entry))
+    }
 }
 
 /// A running inference daemon. Dropping it without calling
@@ -275,8 +242,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds and starts accepting. Each replica's path cache is bounded
-    /// to `config.cache_cap` entries.
+    /// Binds and starts accepting. The model's path cache is bounded to
+    /// `config.cache_cap` entries.
     ///
     /// # Errors
     ///
@@ -288,8 +255,6 @@ impl Server {
 
     /// [`start`](Self::start) for callers that keep their own handle to
     /// the model (benchmarks clearing the cache between rounds, tests).
-    /// The caller's model becomes replica 0; further replicas are
-    /// [`fork_replica`](SnsModel::fork_replica) clones with cold caches.
     /// The model is served under the id `"boot"` until a hot-swap
     /// installs a zoo checkpoint.
     pub fn start_shared(model: Arc<SnsModel>, config: ServeConfig) -> std::io::Result<Server> {
@@ -308,20 +273,7 @@ impl Server {
         let metrics = Arc::new(Metrics::default());
         let weight_hash = model_weight_hash(&model);
         let tally = Arc::new(ModelTally::default());
-        let replica_count = config.replicas.max(1);
-        let stats: Vec<Arc<ReplicaStats>> =
-            (0..replica_count).map(|_| Arc::new(ReplicaStats::default())).collect();
-        let entries =
-            build_entries(&model, model_id, &weight_hash, &tally, &config, &metrics, &stats)?;
-        let replicas: Vec<Replica> = entries
-            .into_iter()
-            .zip(&stats)
-            .map(|(entry, stats)| Replica {
-                entry: Mutex::new(entry),
-                stats: Arc::clone(stats),
-                alive: AtomicBool::new(true),
-            })
-            .collect();
+        let entry = build_entry(model, model_id, &weight_hash, &tally, &config, &metrics)?;
         let models = vec![ModelInfo {
             id: model_id.to_string(),
             weight_hash,
@@ -333,13 +285,11 @@ impl Server {
         let addr = listener.local_addr()?;
         let waker = Waker::new()?;
         let sessions = SessionStore::new(config.session_cap, config.elab_cache_cap);
-        let ring = HashRing::new(replica_count);
         let worker_count = config.workers.max(1);
         let shared = Arc::new(Shared {
             config,
             metrics,
-            replicas,
-            ring,
+            entry: Mutex::new(entry),
             sessions,
             models: Mutex::new(models),
             reload_lock: Mutex::new(()),
@@ -397,46 +347,9 @@ impl Server {
         &self.shared.sessions
     }
 
-    /// Number of model replicas behind the router.
-    pub fn replica_count(&self) -> usize {
-        self.shared.replicas.len()
-    }
-
-    /// The replica a full-design request for (`verilog`, `top`) homes on
-    /// (ignoring liveness) — lets tests aim chaos at the right replica.
-    pub fn replica_for(&self, verilog: &str, top: &str) -> usize {
-        self.shared.ring.home(design_key(verilog, top)) as usize
-    }
-
-    /// Marks a replica dead: new requests fail over along the ring,
-    /// in-flight requests on it get `503` at their next stage boundary.
-    /// Returns `false` for an out-of-range index.
-    pub fn kill_replica(&self, idx: usize) -> bool {
-        match self.shared.replicas.get(idx) {
-            Some(r) => {
-                r.alive.store(false, Ordering::SeqCst);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Marks a replica alive again; it resumes its old ring range (its
-    /// cache kept warm through the outage — liveness is routing state,
-    /// not process state). Returns `false` for an out-of-range index.
-    pub fn revive_replica(&self, idx: usize) -> bool {
-        match self.shared.replicas.get(idx) {
-            Some(r) => {
-                r.alive.store(true, Ordering::SeqCst);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// The id and weight hash of the currently serving model generation.
     pub fn current_model(&self) -> (String, String) {
-        let entry = self.shared.replicas[0].entry();
+        let entry = self.shared.entry();
         (entry.model_id.clone(), entry.weight_hash.clone())
     }
 
@@ -473,7 +386,7 @@ impl Server {
     }
 
     /// Drains in-flight work and joins every thread (reactor, workers,
-    /// per-replica micro-batchers). Implies
+    /// the micro-batcher). Implies
     /// [`request_shutdown`](Self::request_shutdown).
     pub fn join(mut self) {
         self.request_shutdown();
@@ -484,7 +397,7 @@ impl Server {
             let _ = w.join();
         }
         // Dropping `self` releases the last `Arc<Shared>` (all threads
-        // have exited), which drops every `MicroBatcher`, whose `Drop`
+        // have exited), which drops the serving `MicroBatcher`, whose `Drop`
         // drains any queued round and joins the batcher thread.
     }
 }
@@ -535,44 +448,25 @@ pub struct ReloadOutcome {
     pub previous_hash: String,
 }
 
-/// Builds one [`ModelEntry`] per replica for `model`: replica 0 serves
-/// the given `Arc` directly, the rest serve
-/// [`fork_replica`](SnsModel::fork_replica) clones with cold private
-/// caches. All entries of a generation share one [`ModelTally`].
-fn build_entries(
-    model: &Arc<SnsModel>,
+/// Builds the [`ModelEntry`] for `model`: starts its micro-batcher and
+/// attaches the zoo identity and the per-model tally.
+fn build_entry(
+    model: Arc<SnsModel>,
     model_id: &str,
     weight_hash: &str,
     tally: &Arc<ModelTally>,
     config: &ServeConfig,
     metrics: &Arc<Metrics>,
-    stats: &[Arc<ReplicaStats>],
-) -> std::io::Result<Vec<Arc<ModelEntry>>> {
-    let mut entries = Vec::with_capacity(stats.len());
-    for (i, stats) in stats.iter().enumerate() {
-        let replica_model = if i == 0 {
-            Arc::clone(model)
-        } else {
-            let fork = model.fork_replica();
-            fork.cache().set_capacity(config.cache_cap);
-            Arc::new(fork)
-        };
-        let batcher = MicroBatcher::start(
-            Arc::clone(&replica_model),
-            config.threads,
-            config.batch,
-            Arc::clone(metrics),
-            Arc::clone(stats),
-        )?;
-        entries.push(Arc::new(ModelEntry {
-            model: replica_model,
-            batcher,
-            model_id: model_id.to_string(),
-            weight_hash: weight_hash.to_string(),
-            tally: Arc::clone(tally),
-        }));
-    }
-    Ok(entries)
+) -> std::io::Result<Arc<ModelEntry>> {
+    let batcher =
+        MicroBatcher::start(Arc::clone(&model), config.threads, config.batch, Arc::clone(metrics))?;
+    Ok(Arc::new(ModelEntry {
+        model,
+        batcher,
+        model_id: model_id.to_string(),
+        weight_hash: weight_hash.to_string(),
+        tally: Arc::clone(tally),
+    }))
 }
 
 /// The tally for (`id`, `weight_hash`) in the model registry, appending
@@ -603,7 +497,7 @@ pub(crate) fn reload_from_zoo(
         return Err(ReloadError::NoZoo);
     };
     let _guard = lock_or_recover(&shared.reload_lock);
-    let current = shared.replicas[0].entry();
+    let current = shared.entry();
     let (model, zoo_entry) = load_from_zoo(dir, id).map_err(ReloadError::Zoo)?;
     if zoo_entry.weight_hash == current.weight_hash {
         // Cache invalidation is keyed by weight hash: identical weights
@@ -619,26 +513,19 @@ pub(crate) fn reload_from_zoo(
     }
     model.cache().set_capacity(shared.config.cache_cap);
     let sample_config_changed = model.sample_config() != current.model.sample_config();
-    let model = Arc::new(model);
     let tally = tally_for(shared, &zoo_entry.id, &zoo_entry.weight_hash);
-    let stats: Vec<Arc<ReplicaStats>> =
-        shared.replicas.iter().map(|r| Arc::clone(&r.stats)).collect();
-    // Build the whole new generation before installing any of it, so a
-    // mid-build failure (batcher thread spawn) leaves the old generation
-    // fully serving.
-    let entries = build_entries(
-        &model,
+    // Build the new generation before installing it, so a failure
+    // (batcher thread spawn) leaves the old generation serving.
+    let entry = build_entry(
+        Arc::new(model),
         &zoo_entry.id,
         &zoo_entry.weight_hash,
         &tally,
         &shared.config,
         &shared.metrics,
-        &stats,
     )
     .map_err(|e| ReloadError::Zoo(ZooError::Io(e.to_string())))?;
-    for (replica, entry) in shared.replicas.iter().zip(entries) {
-        replica.install(entry);
-    }
+    *lock_or_recover(&shared.entry) = entry;
     // Live ECO sessions hold terminal samples, which depend only on the
     // sample config, not the weights — they stay bit-exact across a
     // weight swap. A changed sample config invalidates them.
@@ -712,25 +599,15 @@ fn route(request: &Request, shared: &Shared) -> Reply {
         ("POST", "/predict") => handle_predict(request, shared),
         ("POST", "/admin/reload") => handle_reload(request, shared),
         ("GET", "/metrics") => {
-            let snapshots: Vec<ReplicaSnapshot> = shared
-                .replicas
-                .iter()
-                .map(|r| {
-                    let entry = r.entry();
-                    let cache = entry.model.cache();
-                    r.stats.snapshot(
-                        r.is_alive(),
-                        entry.batcher.queue_depth() as u64,
-                        CacheStats {
-                            entries: cache.len(),
-                            capacity: cache.capacity(),
-                            hits: cache.hits(),
-                            misses: cache.misses(),
-                            evictions: cache.evictions(),
-                        },
-                    )
-                })
-                .collect();
+            let serving = shared.entry();
+            let cache = serving.model.cache();
+            let cache_stats = CacheStats {
+                entries: cache.len(),
+                capacity: cache.capacity(),
+                hits: cache.hits(),
+                misses: cache.misses(),
+                evictions: cache.evictions(),
+            };
             let elab = shared.sessions.elab_cache();
             let elab_stats = ElabCacheStats {
                 entries: elab.len(),
@@ -741,7 +618,6 @@ fn route(request: &Request, shared: &Shared) -> Reply {
                 invalidations: elab.invalidations(),
                 sessions: shared.sessions.session_count(),
             };
-            let serving = shared.replicas[0].entry();
             let kernel_stats = KernelStats { prepack_bytes: serving.model.prepack_bytes() };
             let models: Vec<Json> = lock_or_recover(&shared.models)
                 .iter()
@@ -760,7 +636,14 @@ fn route(request: &Request, shared: &Shared) -> Reply {
                     Json::Obj(obj)
                 })
                 .collect();
-            (200, Vec::new(), shared.metrics.to_json(&snapshots, elab_stats, kernel_stats, models))
+            let json = shared.metrics.to_json(
+                cache_stats,
+                serving.batcher.queue_depth() as u64,
+                elab_stats,
+                kernel_stats,
+                models,
+            );
+            (200, Vec::new(), json)
         }
         ("GET", "/healthz") => (200, Vec::new(), Json::obj(vec![("status", Json::Str("ok".into()))])),
         ("GET", target)
@@ -881,6 +764,9 @@ fn parse_predict_body(body: &[u8]) -> Result<PredictBody, String> {
         if v.get("verilog").is_ok() {
             return Err("give either {verilog, top} or {base, patch}, not both".to_string());
         }
+        if v.get("activity").is_ok() {
+            return Err("ECO patch predictions do not take an activity map".to_string());
+        }
         return Ok(PredictBody::Patch { base, patch, clock_ps });
     }
 
@@ -930,22 +816,7 @@ fn deadline_reply(stage: &str, shared: &Shared) -> Reply {
     )
 }
 
-/// Raised (as `Err`) by stage-boundary liveness checks when the routed
-/// replica was killed mid-flight.
-struct ReplicaLost;
-
-fn check_alive(replica: &Replica) -> Result<(), ReplicaLost> {
-    if replica.is_alive() {
-        Ok(())
-    } else {
-        Err(ReplicaLost)
-    }
-}
-
-/// Routes the request body to a replica and runs it there, translating
-/// mid-flight replica loss into a clean `503` (never a truncated or
-/// wrong-valued body — the reply is either a full pipeline product or a
-/// structured error).
+/// Parses the request body and runs it on the serving model generation.
 fn handle_predict(request: &Request, shared: &Shared) -> Reply {
     let start = Instant::now();
     shared.metrics.predict_requests.fetch_add(1, Ordering::Relaxed);
@@ -954,58 +825,30 @@ fn handle_predict(request: &Request, shared: &Shared) -> Reply {
         Ok(body) => body,
         Err(msg) => return (400, Vec::new(), error_body(&msg, "json")),
     };
-    let key = match &body {
-        PredictBody::Full(input) => design_key(&input.verilog, &input.top),
-        PredictBody::Session { verilog, top, .. } => design_key(verilog, top),
-        PredictBody::Patch { base, .. } => token_key(base),
-    };
-    let Some(choice) = shared.ring.route(key, |r| {
-        shared.replicas.get(r as usize).is_some_and(Replica::is_alive)
-    }) else {
-        return (
-            503,
-            vec![("retry-after", "1".to_string())],
-            error_body("no live replicas", "replica"),
-        );
-    };
-    if choice.failed_over {
-        shared.metrics.router_failovers.fetch_add(1, Ordering::Relaxed);
-    }
-    let replica = &shared.replicas[choice.replica as usize];
-    replica.stats.routed.fetch_add(1, Ordering::Relaxed);
-    replica.stats.in_flight.fetch_add(1, Ordering::Relaxed);
 
     // Pin one model generation for the whole request: model, batcher,
     // and cache all come from this entry, so a concurrent hot-swap can
     // never mix generations mid-pipeline — the response is bit-identical
     // to a direct call on the model the request started with, and the
     // headers below say which one that was.
-    let entry = replica.entry();
+    let entry = shared.entry();
     entry.tally.requests.fetch_add(1, Ordering::Relaxed);
 
-    // Deterministic chaos hook: lets tests hold a request in-flight on
-    // its routed replica (e.g. to kill the replica underneath it).
+    // Deterministic test hook: holds a request in flight (e.g. to fill
+    // the dispatch queue behind it).
     if shared.config.debug_hooks {
         if let Some(ms) = request.header("x-sns-sleep-ms").and_then(|v| v.parse::<u64>().ok()) {
             std::thread::sleep(Duration::from_millis(ms.min(10_000)));
         }
     }
 
-    let mut reply = match predict_on_replica(shared, replica, &entry, body, start) {
-        Ok(reply) => {
-            replica.stats.completed.fetch_add(1, Ordering::Relaxed);
-            reply
+    let mut reply = match body {
+        PredictBody::Full(input) => predict_full(shared, &entry, input, start),
+        PredictBody::Session { verilog, top, clock_ps } => {
+            handle_session(shared, &entry, &verilog, &top, clock_ps, start)
         }
-        Err(ReplicaLost) => {
-            replica.stats.shed.fetch_add(1, Ordering::Relaxed);
-            (
-                503,
-                vec![("retry-after", "1".to_string())],
-                error_body(
-                    &format!("replica {} lost mid-flight, retry", choice.replica),
-                    "replica",
-                ),
-            )
+        PredictBody::Patch { base, patch, clock_ps } => {
+            handle_patch(shared, &entry, &base, &patch, clock_ps, start)
         }
     };
     if reply.0 == 200 {
@@ -1014,34 +857,16 @@ fn handle_predict(request: &Request, shared: &Shared) -> Reply {
     entry.tally.latency.record(start.elapsed());
     reply.1.push(("x-sns-model-id", entry.model_id.clone()));
     reply.1.push(("x-sns-weight-hash", entry.weight_hash.clone()));
-    replica.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
     reply
 }
 
-/// The full prediction pipeline on one replica, with per-stage
-/// instrumentation, deadline checks, and liveness checks at every stage
-/// boundary. Responses are bit-identical to a direct
-/// `SnsModel::predict_verilog` call: the sampler is seeded by config,
-/// the replica's micro-batcher fills the same cache `aggregate` would,
+/// The full prediction pipeline, with per-stage instrumentation and a
+/// deadline check at every stage boundary. Responses are bit-identical
+/// to a direct `SnsModel::predict_verilog` call: the sampler is seeded
+/// by config, the micro-batcher fills the same cache `aggregate` would,
 /// and the final reduction is the model's own `predict_primed`.
-fn predict_on_replica(
-    shared: &Shared,
-    replica: &Replica,
-    entry: &ModelEntry,
-    body: PredictBody,
-    start: Instant,
-) -> Result<Reply, ReplicaLost> {
+fn predict_full(shared: &Shared, entry: &ModelEntry, input: PredictInput, start: Instant) -> Reply {
     let deadline = shared.config.deadline.map(|d| start + d);
-    check_alive(replica)?;
-    let input = match body {
-        PredictBody::Full(input) => input,
-        PredictBody::Session { verilog, top, clock_ps } => {
-            return handle_session(shared, replica, entry, &verilog, &top, clock_ps, start)
-        }
-        PredictBody::Patch { base, patch, clock_ps } => {
-            return handle_patch(shared, replica, entry, &base, &patch, clock_ps, start)
-        }
-    };
 
     // Stage 1: Verilog front-end.
     let t = Instant::now();
@@ -1051,15 +876,12 @@ fn predict_on_replica(
         // SNS_MAX_REPLICATION) are 422: the Verilog may be perfectly
         // well-formed, the deployment just refuses to elaborate something
         // that large. Malformed source stays 400.
-        Err(e) if e.is_budget() => {
-            return Ok((422, Vec::new(), error_body(&e.to_string(), "budget")))
-        }
-        Err(e) => return Ok((400, Vec::new(), error_body(&e.to_string(), "verilog"))),
+        Err(e) if e.is_budget() => return (422, Vec::new(), error_body(&e.to_string(), "budget")),
+        Err(e) => return (400, Vec::new(), error_body(&e.to_string(), "verilog")),
     };
     shared.metrics.stage_parse.record(t.elapsed());
-    check_alive(replica)?;
     if deadline.is_some_and(|d| Instant::now() >= d) {
-        return Ok(deadline_reply("sampling", shared));
+        return deadline_reply("sampling", shared);
     }
 
     // Stage 2: GraphIR + path sampling.
@@ -1067,9 +889,8 @@ fn predict_on_replica(
     let graph = GraphIr::from_netlist(&netlist);
     let paths = PathSampler::new(entry.model.sample_config().clone()).sample(&graph);
     shared.metrics.stage_sample.record(t.elapsed());
-    check_alive(replica)?;
     if deadline.is_some_and(|d| Instant::now() >= d) {
-        return Ok(deadline_reply("inference", shared));
+        return deadline_reply("inference", shared);
     }
 
     // Stage 3: micro-batched inference — only the sequences this request
@@ -1080,10 +901,9 @@ fn predict_on_replica(
     let missing = entry.model.cache().missing_unique(&token_seqs);
     let gate = entry.batcher.submit(missing);
     if !gate.wait(deadline) {
-        return Ok(deadline_reply("aggregation", shared));
+        return deadline_reply("aggregation", shared);
     }
     shared.metrics.stage_infer.record(t.elapsed());
-    check_alive(replica)?;
 
     // Stage 4: serial reduction + MLP refinement.
     let t = Instant::now();
@@ -1094,7 +914,7 @@ fn predict_on_replica(
     let fields = prediction_fields(&pred, input.clock_ps);
     shared.metrics.predict_ok.fetch_add(1, Ordering::Relaxed);
     shared.metrics.stage_total.record(start.elapsed());
-    Ok((200, Vec::new(), Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())))
+    (200, Vec::new(), Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect()))
 }
 
 /// The `DesignPrediction` fields every successful `/predict` reply shares.
@@ -1147,55 +967,43 @@ fn session_reply(
 /// incremental pipeline and register the design as an ECO base.
 fn handle_session(
     shared: &Shared,
-    replica: &Replica,
     entry: &ModelEntry,
     verilog: &str,
     top: &str,
     clock_ps: Option<f64>,
     start: Instant,
-) -> Result<Reply, ReplicaLost> {
-    let outcome = match entry.model.predict_session(&shared.sessions, verilog, top) {
-        Ok(o) => o,
-        Err(e) if e.is_budget() => {
-            return Ok((422, Vec::new(), error_body(&e.to_string(), "budget")))
-        }
-        Err(e) => return Ok((400, Vec::new(), error_body(&e.to_string(), "verilog"))),
-    };
-    check_alive(replica)?;
-    Ok(session_reply(shared, &outcome, clock_ps, start))
+) -> Reply {
+    match entry.model.predict_session(&shared.sessions, verilog, top) {
+        Ok(outcome) => session_reply(shared, &outcome, clock_ps, start),
+        Err(e) if e.is_budget() => (422, Vec::new(), error_body(&e.to_string(), "budget")),
+        Err(e) => (400, Vec::new(), error_body(&e.to_string(), "verilog")),
+    }
 }
 
 /// `{"base": token, "patch": module sources}` — merge the patch into the
 /// base session's design and re-predict incrementally.
 fn handle_patch(
     shared: &Shared,
-    replica: &Replica,
     entry: &ModelEntry,
     base: &str,
     patch: &str,
     clock_ps: Option<f64>,
     start: Instant,
-) -> Result<Reply, ReplicaLost> {
+) -> Reply {
     shared.metrics.eco_requests.fetch_add(1, Ordering::Relaxed);
-    let outcome = match entry.model.predict_patch(&shared.sessions, base, patch) {
-        Ok(o) => o,
-        Err(SessionError::UnknownBase(token)) => {
-            return Ok((
-                404,
-                Vec::new(),
-                error_body(
-                    &format!("unknown base design `{token}` (expired or never registered)"),
-                    "session",
-                ),
-            ))
-        }
+    match entry.model.predict_patch(&shared.sessions, base, patch) {
+        Ok(outcome) => session_reply(shared, &outcome, clock_ps, start),
+        Err(SessionError::UnknownBase(token)) => (
+            404,
+            Vec::new(),
+            error_body(
+                &format!("unknown base design `{token}` (expired or never registered)"),
+                "session",
+            ),
+        ),
         Err(SessionError::Front(e)) if e.is_budget() => {
-            return Ok((422, Vec::new(), error_body(&e.to_string(), "budget")))
+            (422, Vec::new(), error_body(&e.to_string(), "budget"))
         }
-        Err(SessionError::Front(e)) => {
-            return Ok((400, Vec::new(), error_body(&e.to_string(), "verilog")))
-        }
-    };
-    check_alive(replica)?;
-    Ok(session_reply(shared, &outcome, clock_ps, start))
+        Err(SessionError::Front(e)) => (400, Vec::new(), error_body(&e.to_string(), "verilog")),
+    }
 }

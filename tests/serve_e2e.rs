@@ -242,6 +242,16 @@ fn malformed_requests_get_structured_errors_not_hangups() {
     assert_eq!(status, 400);
     assert_eq!(body.get("kind").unwrap().as_str().unwrap(), "verilog");
 
+    // The ECO patch form takes no activity map (its power could not
+    // honour one), so it is refused rather than silently dropped.
+    let (status, body) = post_json(
+        addr,
+        "/predict",
+        r#"{"base": "b", "patch": "module m; endmodule", "activity": {"r": 0.5}}"#,
+    );
+    assert_eq!(status, 400, "{}", body.print());
+    assert_eq!(body.get("kind").unwrap().as_str().unwrap(), "json");
+
     // Wrong method / unknown path.
     let (status, _) = get(addr, "/predict");
     assert_eq!(status, 405);
@@ -536,162 +546,6 @@ fn partial_writes_backpressure_without_blocking_other_connections() {
 
     let (_, m) = get(addr, "/metrics");
     assert_eq!(m.get("conn_errors").unwrap().as_u64().unwrap(), 0);
-    assert_eq!(m.get("panics_total").unwrap().as_u64().unwrap(), 0);
-    server.join();
-}
-
-#[test]
-fn killed_replica_fails_over_and_rejoins_with_reconciled_metrics() {
-    let model = model();
-    let server = Server::start_shared(
-        Arc::clone(&model),
-        ServeConfig { replicas: 4, debug_hooks: true, ..test_config() },
-    )
-    .unwrap();
-    let addr = server.addr();
-    assert_eq!(server.replica_count(), 4);
-
-    let d = serve_designs()[0].clone();
-    let home = server.replica_for(&d.verilog, &d.top);
-    let direct = model.predict_verilog(&d.verilog, &d.top).unwrap();
-
-    // A request held in-flight on its home replica (debug sleep hook)…
-    let body = predict_body(&d);
-    let raw = format!(
-        "POST /predict HTTP/1.1\r\nhost: t\r\nx-sns-sleep-ms: 1000\r\n\
-         content-length: {}\r\nconnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let mut inflight = TcpStream::connect(addr).unwrap();
-    inflight.write_all(raw.as_bytes()).unwrap();
-    std::thread::sleep(Duration::from_millis(300)); // handler is sleeping on `home`
-
-    // …ends as a complete, parseable 503 when the replica dies under it —
-    // never a truncated or wrong-valued body.
-    assert!(server.kill_replica(home));
-    let mut response = String::new();
-    inflight.read_to_string(&mut response).unwrap();
-    assert!(response.starts_with("HTTP/1.1 503"), "{response}");
-    assert!(response.to_ascii_lowercase().contains("retry-after: 1"), "{response}");
-    let payload = response.split_once("\r\n\r\n").unwrap().1;
-    assert_eq!(parse_json(payload).unwrap().get("kind").unwrap().as_str().unwrap(), "replica");
-
-    // New requests for the same design fail over along the ring and
-    // still answer bit-identically (the replicas are exact model clones).
-    let (status, resp) = post_json(addr, "/predict", &predict_body(&d));
-    assert_eq!(status, 200, "{}", resp.print());
-    assert_eq!(
-        resp.get("timing_ps").unwrap().as_f64().unwrap().to_bits(),
-        direct.timing_ps.to_bits()
-    );
-
-    // The revived replica resumes its old key range and keeps answering.
-    assert!(server.revive_replica(home));
-    let (status, resp) = post_json(addr, "/predict", &predict_body(&d));
-    assert_eq!(status, 200, "{}", resp.print());
-    assert_eq!(
-        resp.get("area_um2").unwrap().as_f64().unwrap().to_bits(),
-        direct.area_um2.to_bits()
-    );
-
-    // /metrics reconciles after the chaos: per-replica routed ==
-    // completed + shed, exactly one shed and one failover in total,
-    // everyone alive again, nothing left in flight, no panics.
-    let (_, m) = get(addr, "/metrics");
-    let replicas = m.get("replicas").unwrap().as_arr().unwrap();
-    assert_eq!(replicas.len(), 4);
-    let (mut routed, mut completed, mut shed) = (0, 0, 0);
-    for r in replicas {
-        let rr = r.get("routed").unwrap().as_u64().unwrap();
-        let rc = r.get("completed").unwrap().as_u64().unwrap();
-        let rs = r.get("shed").unwrap().as_u64().unwrap();
-        assert_eq!(rr, rc + rs, "replica ledger: routed == completed + shed");
-        assert_eq!(r.get("in_flight").unwrap().as_u64().unwrap(), 0);
-        assert!(r.get("alive").unwrap().as_bool().unwrap());
-        routed += rr;
-        completed += rc;
-        shed += rs;
-    }
-    assert_eq!((routed, completed, shed), (3, 2, 1));
-    assert_eq!(m.get("router").unwrap().get("failovers").unwrap().as_u64().unwrap(), 1);
-    assert_eq!(m.get("panics_total").unwrap().as_u64().unwrap(), 0);
-    server.join();
-}
-
-#[test]
-fn shard_mode_is_bit_identical_with_reconciled_replica_metrics() {
-    let model = model();
-    let config = ServeConfig { replicas: 4, ..test_config() };
-    let server = Server::start_shared(Arc::clone(&model), config.clone()).unwrap();
-    let addr = server.addr();
-    let designs = serve_designs();
-
-    // Placement is pure content hashing: an independently started server
-    // (fresh ring, fresh process state) homes every design identically.
-    let twin = Server::start_shared(Arc::clone(&model), config).unwrap();
-    for d in &designs {
-        assert_eq!(
-            server.replica_for(&d.verilog, &d.top),
-            twin.replica_for(&d.verilog, &d.top),
-            "routing must be deterministic across restarts ({})",
-            d.name
-        );
-    }
-    twin.join();
-
-    // The same 8-way concurrent mix as the single-replica test — shard
-    // mode must not change a single bit of any answer.
-    let mut handles = Vec::new();
-    for client in 0..8 {
-        let designs = designs.clone();
-        handles.push(std::thread::spawn(move || {
-            (0..3)
-                .map(|i| {
-                    let d = &designs[(client + i * 3) % designs.len()];
-                    let (status, body) = post_json(addr, "/predict", &predict_body(d));
-                    assert_eq!(status, 200, "{}: {}", d.name, body.print());
-                    (d.name.clone(), body)
-                })
-                .collect::<Vec<_>>()
-        }));
-    }
-    let responses: Vec<(String, Json)> =
-        handles.into_iter().flat_map(|h| h.join().expect("client thread")).collect();
-    assert_eq!(responses.len(), 24);
-    for d in &designs {
-        let direct = model.predict_verilog(&d.verilog, &d.top).unwrap();
-        for (name, body) in responses.iter().filter(|(n, _)| n == &d.name) {
-            for (field, want) in [
-                ("timing_ps", direct.timing_ps),
-                ("area_um2", direct.area_um2),
-                ("power_mw", direct.power_mw),
-            ] {
-                let got = body.get(field).unwrap().as_f64().unwrap();
-                assert_eq!(got.to_bits(), want.to_bits(), "{name} {field}");
-            }
-        }
-    }
-
-    // The request ledger reconciles in shard mode exactly as it does
-    // single-replica, plus the per-replica ledger sums to the total.
-    let (status, m) = get(addr, "/metrics");
-    assert_eq!(status, 200);
-    assert_eq!(m.get("requests_total").unwrap().as_u64().unwrap(), 25);
-    assert_eq!(m.get("predict_requests").unwrap().as_u64().unwrap(), 24);
-    assert_eq!(m.get("predict_ok").unwrap().as_u64().unwrap(), 24);
-    assert_eq!(m.get("router").unwrap().get("replicas").unwrap().as_u64().unwrap(), 4);
-    let replicas = m.get("replicas").unwrap().as_arr().unwrap();
-    assert_eq!(replicas.len(), 4);
-    let (mut routed, mut completed) = (0, 0);
-    for r in replicas {
-        assert!(r.get("alive").unwrap().as_bool().unwrap());
-        assert_eq!(r.get("shed").unwrap().as_u64().unwrap(), 0);
-        assert_eq!(r.get("in_flight").unwrap().as_u64().unwrap(), 0);
-        routed += r.get("routed").unwrap().as_u64().unwrap();
-        completed += r.get("completed").unwrap().as_u64().unwrap();
-    }
-    assert_eq!(routed, 24);
-    assert_eq!(completed, 24);
     assert_eq!(m.get("panics_total").unwrap().as_u64().unwrap(), 0);
     server.join();
 }
@@ -992,8 +846,9 @@ fn header<'h>(headers: &'h [(String, String)], name: &str) -> Option<&'h str> {
 /// response must be a 200 whose numbers are bit-identical to a direct
 /// call on the model generation its `x-sns-model-id` header names —
 /// never an error, never a cross-generation mix, never a panic.
-fn run_hot_swap_race(replicas: usize, tag: &str) {
-    let zoo = two_model_zoo(tag);
+#[test]
+fn hot_swap_race_single_replica_is_atomic_and_bit_identical() {
+    let zoo = two_model_zoo("single");
     let direct: std::collections::HashMap<(String, String), sns::core::DesignPrediction> = {
         let mut map = std::collections::HashMap::new();
         for d in serve_designs() {
@@ -1010,7 +865,7 @@ fn run_hot_swap_race(replicas: usize, tag: &str) {
     let server = Server::start_named(
         model(),
         "gen-a",
-        ServeConfig { replicas, zoo_dir: Some(zoo.clone()), ..test_config() },
+        ServeConfig { zoo_dir: Some(zoo.clone()), ..test_config() },
     )
     .unwrap();
     let addr = server.addr();
@@ -1093,16 +948,6 @@ fn run_hot_swap_race(replicas: usize, tag: &str) {
     server.join();
 
     let _ = std::fs::remove_dir_all(&zoo);
-}
-
-#[test]
-fn hot_swap_race_single_replica_is_atomic_and_bit_identical() {
-    run_hot_swap_race(1, "single");
-}
-
-#[test]
-fn hot_swap_race_in_shard_mode_is_atomic_and_bit_identical() {
-    run_hot_swap_race(3, "shard");
 }
 
 #[test]
