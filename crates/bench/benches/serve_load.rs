@@ -5,16 +5,15 @@
 //! the same design pool) at a different concurrency, against a freshly
 //! started server with cold caches, so the K = 1 level *is* the
 //! sequential baseline: any req/s gain at K ≥ 4 comes from the
-//! event-driven connection core pipelining requests and the
-//! micro-batcher coalescing concurrent requests' path sequences through
-//! the model's cache. One request in every [`HEAVY_EVERY`] is a
-//! [`heavy_design`] tail anchor, and each level keeps the better of
-//! [`ATTEMPTS`] fresh-server runs (closed-loop numbers on a shared box
-//! are noisy).
+//! event-driven connection core pipelining requests and concurrent
+//! workers sharing path predictions through the model's cache. One
+//! request in every [`HEAVY_EVERY`] is a [`heavy_design`] tail anchor,
+//! and each level runs [`ATTEMPTS`] fresh-server attempts and reports
+//! their median (closed-loop numbers on a shared box are noisy).
 //!
 //! Artifact: `BENCH_serve.json` at the repo root (the machine header,
-//! req/s, client-side p50/p99, shed counts, and per-level batcher
-//! stats).
+//! then per level the median req/s and p99 with their min–max over the
+//! attempts, the median p50, and the shed count summed over attempts).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -37,9 +36,9 @@ const TOTAL_REQUESTS: usize = 576; // divisible by every level above
 /// anchor (12 per level — comfortably more than the 6 samples above the
 /// p99 of 576).
 const HEAVY_EVERY: usize = 48;
-/// Closed-loop runs on a shared box are noisy; each level keeps the
-/// better of this many fresh-server attempts.
-const ATTEMPTS: usize = 2;
+/// Closed-loop runs on a shared box are noisy; each level reports the
+/// median (and min–max) of this many fresh-server attempts.
+const ATTEMPTS: usize = 5;
 
 fn serving_model_config() -> SnsTrainConfig {
     let mut c = SnsTrainConfig::fast();
@@ -52,8 +51,8 @@ fn serving_model_config() -> SnsTrainConfig {
 }
 
 /// A pool of distinct parameterized designs: enough variety that levels
-/// start cold, enough repeats (TOTAL_REQUESTS > pool) that the cache and
-/// batcher dedup see realistic traffic.
+/// start cold, enough repeats (TOTAL_REQUESTS > pool) that the cache
+/// sees realistic traffic.
 fn design_pool() -> Vec<Design> {
     let mut pool = Vec::new();
     for lanes in [2u32, 4, 8] {
@@ -136,6 +135,20 @@ fn quantile(sorted_us: &[u64], q: f64) -> f64 {
     sorted_us[rank - 1] as f64 / 1000.0
 }
 
+/// The median of `v` (upper median for even lengths; `v` non-empty).
+fn median(v: &[f64]) -> f64 {
+    let mut sorted = v.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
+}
+
+/// `(median, min, max)` of a level's per-attempt readings.
+fn spread(v: &[f64]) -> (f64, f64, f64) {
+    let min = v.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    (median(v), min, max)
+}
+
 /// Runs the full concurrency sweep, returning one artifact row per level.
 fn run_sweep(model: &Arc<SnsModel>, pool: &[Design], heavy: &Design) -> Vec<Json> {
     // Connection handling is the reactor's and costs no worker, so the
@@ -149,16 +162,19 @@ fn run_sweep(model: &Arc<SnsModel>, pool: &[Design], heavy: &Design) -> Vec<Json
         ..ServeConfig::default()
     };
     println!(
-        "  [serve] {} workers, inference threads={}, batch={}",
-        config.workers, config.threads, config.batch
+        "  [serve] {} workers, inference threads={}, batch={}, {ATTEMPTS} attempts per level",
+        config.workers,
+        sns_rt::pool::default_threads(),
+        sns_rt::pool::default_batch()
     );
 
     let mut rows = Vec::new();
     let mut baseline_rps = 0.0f64;
     for &k in CONCURRENCY {
-        let mut best: Option<(f64, f64, Vec<u64>, [u64; 4])> = None;
+        let (mut rps, mut p50, mut p99) = (Vec::new(), Vec::new(), Vec::new());
+        let mut shed = 0u64;
         for _attempt in 0..ATTEMPTS {
-            // Same cold start for every level: a fresh server and a
+            // Same cold start for every attempt: a fresh server and a
             // cleared cache (shared with our `model` handle across
             // restarts).
             model.cache().clear();
@@ -192,42 +208,33 @@ fn run_sweep(model: &Arc<SnsModel>, pool: &[Design], heavy: &Design) -> Vec<Json
             let wall_s = wall.elapsed().as_secs_f64();
             lat_us.sort_unstable();
 
-            let rps = TOTAL_REQUESTS as f64 / wall_s;
-            let counters = [
-                metrics.batch_rounds.load(Ordering::Relaxed),
-                metrics.coalesced_jobs.load(Ordering::Relaxed),
-                metrics.batched_seqs.load(Ordering::Relaxed),
-                metrics.rejected_503.load(Ordering::Relaxed),
-            ];
+            rps.push(TOTAL_REQUESTS as f64 / wall_s);
+            p50.push(quantile(&lat_us, 0.50));
+            p99.push(quantile(&lat_us, 0.99));
+            shed += metrics.rejected_503.load(Ordering::Relaxed);
             server.join();
-            if best.as_ref().is_none_or(|(r, ..)| rps > *r) {
-                best = Some((rps, wall_s, lat_us, counters));
-            }
         }
-        let Some((rps, wall_s, lat_us, [rounds, jobs, seqs, shed])) = best else {
-            unreachable!("ATTEMPTS >= 1");
-        };
+        let (rps_med, rps_min, rps_max) = spread(&rps);
+        let (p99_med, p99_min, p99_max) = spread(&p99);
+        let p50_med = median(&p50);
         if k == 1 {
-            baseline_rps = rps;
+            baseline_rps = rps_med;
         }
         println!(
-            "  [k={k:>2}] {rps:7.2} req/s ({:.2}x vs k=1) | p50 {:7.1} ms  p99 {:7.1} ms | {jobs} jobs in {rounds} rounds ({:.1} jobs/round, {seqs} seqs) | shed {shed}",
-            rps / baseline_rps,
-            quantile(&lat_us, 0.50),
-            quantile(&lat_us, 0.99),
-            if rounds == 0 { 0.0 } else { jobs as f64 / rounds as f64 },
+            "  [k={k:>2}] {rps_med:7.1} req/s [{rps_min:.1}–{rps_max:.1}] ({:.2}x vs k=1) | p50 {p50_med:6.1} ms | p99 {p99_med:6.1} ms [{p99_min:.1}–{p99_max:.1}] | shed {shed}",
+            rps_med / baseline_rps,
         );
         rows.push(Json::obj(vec![
             ("concurrency", Json::UInt(k as u64)),
             ("requests", Json::UInt(TOTAL_REQUESTS as u64)),
-            ("wall_s", Json::Num(wall_s)),
-            ("req_per_s", Json::Num(rps)),
-            ("speedup_vs_sequential", Json::Num(rps / baseline_rps)),
-            ("p50_ms", Json::Num(quantile(&lat_us, 0.50))),
-            ("p99_ms", Json::Num(quantile(&lat_us, 0.99))),
-            ("batch_rounds", Json::UInt(rounds)),
-            ("coalesced_jobs", Json::UInt(jobs)),
-            ("batched_seqs", Json::UInt(seqs)),
+            ("req_per_s", Json::Num(rps_med)),
+            ("req_per_s_min", Json::Num(rps_min)),
+            ("req_per_s_max", Json::Num(rps_max)),
+            ("speedup_vs_sequential", Json::Num(rps_med / baseline_rps)),
+            ("p50_ms", Json::Num(p50_med)),
+            ("p99_ms", Json::Num(p99_med)),
+            ("p99_ms_min", Json::Num(p99_min)),
+            ("p99_ms_max", Json::Num(p99_max)),
             ("shed_503", Json::UInt(shed)),
         ]));
     }
@@ -235,7 +242,7 @@ fn run_sweep(model: &Arc<SnsModel>, pool: &[Design], heavy: &Design) -> Vec<Json
 }
 
 fn main() {
-    headline("sns-serve: throughput vs concurrency (event-driven core + micro-batching)");
+    headline("sns-serve: throughput vs concurrency (event-driven core, shared path cache)");
 
     let pool = design_pool();
     println!("  [model] training a small serving model ({} pool designs)...", pool.len());
@@ -254,7 +261,6 @@ fn main() {
     let heavy = heavy_design();
 
     let levels = run_sweep(&model, &pool, &heavy);
-    let defaults = ServeConfig::default();
     let doc = Json::obj(vec![
         ("bench", Json::Str("serve_load".into())),
         ("env", env_header()),
@@ -262,8 +268,8 @@ fn main() {
         ("attempts_per_level", Json::UInt(ATTEMPTS as u64)),
         ("heavy_every", Json::UInt(HEAVY_EVERY as u64)),
         ("design_pool", Json::UInt(pool.len() as u64)),
-        ("inference_threads", Json::UInt(defaults.threads as u64)),
-        ("batch", Json::UInt(defaults.batch as u64)),
+        ("inference_threads", Json::UInt(sns_rt::pool::default_threads() as u64)),
+        ("batch", Json::UInt(sns_rt::pool::default_batch() as u64)),
         ("levels", Json::Arr(levels)),
     ]);
     write_root_json("BENCH_serve.json", &doc);

@@ -137,8 +137,8 @@ mod tests {
                 mean[d] += z[d];
             }
         }
-        for d in 0..3 {
-            assert!((mean[d] / 100.0).abs() < 1e-3, "dim {d} mean {}", mean[d] / 100.0);
+        for (d, m) in mean.iter().enumerate() {
+            assert!((m / 100.0).abs() < 1e-3, "dim {d} mean {}", m / 100.0);
         }
     }
 

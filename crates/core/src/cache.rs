@@ -14,8 +14,8 @@
 //! long-lived servers bound it (`SNS_CACHE_CAP`) so memory stays flat
 //! under unbounded workload diversity.
 //!
-//! Fill calls ([`ensure`](PathPredictionCache::ensure) /
-//! [`ensure_batched`](PathPredictionCache::ensure_batched)) maintain
+//! The one fill call,
+//! [`ensure_batched`](PathPredictionCache::ensure_batched), maintains
 //! hit/miss counters over *unique* sequences: a unique sequence already
 //! present counts one hit, a unique sequence that must be computed counts
 //! one miss. Point lookups via [`get`](PathPredictionCache::get) are not
@@ -27,7 +27,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{Mutex, PoisonError, RwLock};
 
 #[derive(Debug, Default)]
 struct Inner {
@@ -71,6 +71,9 @@ impl Inner {
 #[derive(Debug)]
 pub struct PathPredictionCache {
     inner: RwLock<Inner>,
+    /// Held while a fill computes, so concurrent fills of overlapping
+    /// sequence sets run each sequence once (see `ensure_batched`).
+    fill: Mutex<()>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -80,6 +83,7 @@ impl Default for PathPredictionCache {
     fn default() -> Self {
         PathPredictionCache {
             inner: RwLock::new(Inner { map: HashMap::new(), order: VecDeque::new(), cap: usize::MAX }),
+            fill: Mutex::new(()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -96,6 +100,7 @@ impl Clone for PathPredictionCache {
                 order: inner.order.clone(),
                 cap: inner.cap,
             }),
+            fill: Mutex::new(()),
             hits: AtomicU64::new(self.hits.load(Ordering::Relaxed)),
             misses: AtomicU64::new(self.misses.load(Ordering::Relaxed)),
             evictions: AtomicU64::new(self.evictions.load(Ordering::Relaxed)),
@@ -203,7 +208,7 @@ impl PathPredictionCache {
     /// The unique sequences from `seqs` not currently cached, in first-
     /// occurrence order, updating the hit/miss counters (one hit per
     /// unique cached sequence, one miss per returned sequence).
-    pub fn missing_unique(&self, seqs: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    fn missing_unique(&self, seqs: &[Vec<usize>]) -> Vec<Vec<usize>> {
         let missing: Vec<Vec<usize>> = {
             let inner = self.inner.read().expect("cache lock poisoned");
             let mut seen: HashSet<&Vec<usize>> = HashSet::new();
@@ -226,41 +231,23 @@ impl PathPredictionCache {
         missing
     }
 
-    /// Ensures every sequence in `seqs` is cached, computing the missing
-    /// *unique* ones with `predict` fanned out over `threads` workers.
-    ///
-    /// `predict` must be pure; results are inserted in one batch, so
-    /// concurrent readers never observe a partially computed sequence.
-    pub fn ensure<F>(&self, seqs: &[Vec<usize>], threads: usize, predict: F)
-    where
-        F: Fn(&[usize]) -> [f64; 3] + Sync,
-    {
-        let missing = self.missing_unique(seqs);
-        if missing.is_empty() {
-            return;
-        }
-        let preds = sns_rt::pool::par_map(&missing, threads, |t| predict(t));
-        let mut inner = self.inner.write().expect("cache lock poisoned");
-        let mut evicted = 0;
-        for (tokens, pred) in missing.into_iter().zip(preds) {
-            evicted += inner.insert(tokens, pred);
-        }
-        drop(inner);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-    }
-
-    /// Like [`ensure`](Self::ensure), but hands the missing unique
-    /// sequences to `predict_batch` in length-bucketed chunks of at most
-    /// `batch` sequences, fanning the chunks over `threads` workers.
+    /// Ensures every sequence in `seqs` is cached: the missing *unique*
+    /// sequences go to `predict_batch` in length-bucketed chunks of at
+    /// most `batch` sequences, the chunks fanned over `threads` workers.
     ///
     /// Sequences are grouped by exact token length (shortest bucket
     /// first, deterministically) so every chunk's packed forward sees
     /// uniform sequence shapes. `predict_batch` must be pure and return
     /// one prediction per input, each independent of its batch-mates —
-    /// then the cache contents are identical to the per-sequence
-    /// [`ensure`](Self::ensure) path at any `threads` or `batch`.
+    /// then the cache contents are identical at any `threads` or `batch`.
+    /// Results are inserted in one batch, so concurrent readers never
+    /// observe a partially computed chunk.
+    ///
+    /// Fills that have something to compute run one at a time, and each
+    /// drops what an earlier fill computed while it waited, so
+    /// concurrent callers with overlapping sequences (cold servers,
+    /// designs sharing sub-blocks) run every sequence once. A caller
+    /// with nothing missing never waits.
     ///
     /// # Panics
     ///
@@ -273,21 +260,12 @@ impl PathPredictionCache {
         if missing.is_empty() {
             return;
         }
-        self.compute_batched(missing, threads, batch, predict_batch);
-    }
-
-    /// The fill half of [`ensure_batched`](Self::ensure_batched):
-    /// computes `missing` (assumed unique, counters already updated) in
-    /// length-bucketed chunks and inserts the results. Exposed so a
-    /// cross-request micro-batcher can coalesce the missing sets of many
-    /// concurrent callers into one fill.
-    pub fn compute_batched<F>(&self, missing: Vec<Vec<usize>>, threads: usize, batch: usize, predict_batch: F)
-    where
-        F: Fn(&[&[usize]]) -> Vec<[f64; 3]> + Sync,
-    {
-        if missing.is_empty() {
-            return;
-        }
+        // The guarded value is `()`: a panicked fill leaves nothing to repair.
+        let _fill = self.fill.lock().unwrap_or_else(PoisonError::into_inner);
+        let missing: Vec<Vec<usize>> = {
+            let inner = self.inner.read().expect("cache lock poisoned");
+            missing.into_iter().filter(|t| !inner.map.contains_key(t)).collect()
+        };
         let batch = batch.max(1);
         let mut buckets: BTreeMap<usize, Vec<&Vec<usize>>> = BTreeMap::new();
         for t in &missing {
@@ -321,6 +299,14 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Lifts a per-sequence prediction into the chunk form
+    /// `ensure_batched` takes.
+    fn per_seq(
+        predict: impl Fn(&[usize]) -> [f64; 3] + Sync,
+    ) -> impl Fn(&[&[usize]]) -> Vec<[f64; 3]> + Sync {
+        move |chunk| chunk.iter().map(|t| predict(t)).collect()
+    }
+
     #[test]
     fn get_after_insert() {
         let cache = PathPredictionCache::new();
@@ -332,16 +318,16 @@ mod tests {
     }
 
     #[test]
-    fn ensure_computes_each_unique_sequence_once() {
+    fn ensure_batched_computes_each_unique_sequence_once() {
         let cache = PathPredictionCache::new();
         cache.insert(vec![9], [9.0, 9.0, 9.0]);
         let calls = AtomicUsize::new(0);
         let seqs = vec![vec![1], vec![2], vec![1], vec![9], vec![2], vec![1]];
-        for threads in [1, 4] {
-            cache.ensure(&seqs, threads, |t| {
+        for (threads, batch) in [(1, 1), (4, 32)] {
+            cache.ensure_batched(&seqs, threads, batch, per_seq(|t| {
                 calls.fetch_add(1, Ordering::Relaxed);
                 [t[0] as f64, 0.0, 0.0]
-            });
+            }));
         }
         // Only [1] and [2] were missing, and only on the first call.
         assert_eq!(calls.load(Ordering::Relaxed), 2);
@@ -353,10 +339,10 @@ mod tests {
     fn hit_and_miss_counters_track_unique_fill_traffic() {
         let cache = PathPredictionCache::new();
         let seqs = vec![vec![1], vec![2], vec![1]];
-        cache.ensure(&seqs, 1, |t| [t[0] as f64, 0.0, 0.0]);
+        cache.ensure_batched(&seqs, 1, 1, per_seq(|t| [t[0] as f64, 0.0, 0.0]));
         // First fill: two unique sequences, both missing.
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        cache.ensure(&seqs, 1, |_| unreachable!("everything is cached"));
+        cache.ensure_batched(&seqs, 1, 1, |_| unreachable!("everything is cached"));
         // Second fill: both unique sequences hit.
         assert_eq!((cache.hits(), cache.misses()), (2, 2));
         // Point lookups are not counted.
@@ -390,23 +376,56 @@ mod tests {
     }
 
     #[test]
-    fn ensure_batched_matches_ensure_at_any_batch_size() {
+    fn ensure_batched_matches_per_sequence_predictions_at_any_batch_size() {
         let seqs: Vec<Vec<usize>> =
             (0..20).map(|i| (0..(i % 5 + 1)).map(|j| i + j).collect()).collect();
         let predict = |t: &[usize]| [t.iter().sum::<usize>() as f64, t.len() as f64, 1.0];
-        let reference = PathPredictionCache::new();
-        reference.ensure(&seqs, 1, predict);
+        let unique: HashSet<&Vec<usize>> = seqs.iter().collect();
         for batch in [1, 4, 32] {
             for threads in [1, 4] {
                 let cache = PathPredictionCache::new();
-                cache.ensure_batched(&seqs, threads, batch, |chunk| {
-                    chunk.iter().map(|t| predict(t)).collect()
-                });
-                assert_eq!(cache.len(), reference.len(), "batch={batch} threads={threads}");
+                cache.ensure_batched(&seqs, threads, batch, per_seq(predict));
+                assert_eq!(cache.len(), unique.len(), "batch={batch} threads={threads}");
                 for s in &seqs {
-                    assert_eq!(cache.get(s), reference.get(s), "batch={batch} threads={threads}");
+                    assert_eq!(cache.get(s), Some(predict(s)), "batch={batch} threads={threads}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn concurrent_overlapping_fills_compute_each_sequence_once() {
+        // Fill A holds the compute step until fill B has counted its
+        // misses (B is then at, or past, the point where it must wait);
+        // B must find A's results instead of computing them again.
+        let cache = PathPredictionCache::new();
+        let a: Vec<Vec<usize>> = (0..6).map(|i| vec![i]).collect();
+        let b: Vec<Vec<usize>> = (3..9).map(|i| vec![i]).collect();
+        let calls = AtomicUsize::new(0);
+        let predict = |t: &[usize]| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            [t[0] as f64, 0.0, 0.0]
+        };
+        std::thread::scope(|s| {
+            let (cache, predict) = (&cache, &predict);
+            let first = s.spawn(move || {
+                cache.ensure_batched(&a, 1, 32, |chunk| {
+                    while cache.misses() < 12 {
+                        std::thread::yield_now();
+                    }
+                    chunk.iter().map(|t| predict(t)).collect()
+                });
+            });
+            while cache.misses() < 6 {
+                std::thread::yield_now();
+            }
+            cache.ensure_batched(&b, 1, 32, per_seq(predict));
+            first.join().expect("fill A");
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 9, "each of the 9 unique sequences once");
+        assert_eq!(cache.len(), 9);
+        for i in 0..9usize {
+            assert_eq!(cache.get(&[i]), Some([i as f64, 0.0, 0.0]));
         }
     }
 
@@ -453,9 +472,7 @@ mod tests {
             let s = t.iter().map(|&x| (x as f64).sin()).sum::<f64>();
             [s, s * 0.5, s * 0.25]
         };
-        let unbounded = PathPredictionCache::new();
-        unbounded.ensure(&seqs, 1, predict);
-        let reference: Vec<[f64; 3]> = seqs.iter().map(|s| unbounded.get(s).unwrap()).collect();
+        let reference: Vec<[f64; 3]> = seqs.iter().map(|s| predict(s)).collect();
 
         for cap in [1, 3, 7] {
             let cache = PathPredictionCache::with_capacity(cap);
@@ -466,10 +483,10 @@ mod tests {
                 // in (or overflows) the cap; every returned value must
                 // still match the unbounded reference exactly.
                 for window in seqs.chunks(5) {
-                    cache.ensure_batched(window, 2, 3, |chunk| {
-                        calls.fetch_add(chunk.len(), Ordering::Relaxed);
-                        chunk.iter().map(|t| predict(t)).collect()
-                    });
+                    cache.ensure_batched(window, 2, 3, per_seq(|t| {
+                        calls.fetch_add(1, Ordering::Relaxed);
+                        predict(t)
+                    }));
                     for s in window {
                         if let Some(v) = cache.get(s) {
                             let expect = reference[seqs.iter().position(|x| x == s).unwrap()];
@@ -514,7 +531,7 @@ mod tests {
     #[test]
     fn counters_reconcile_under_capacity_pressure() {
         // The /metrics identity: as long as the cache is only filled
-        // through counted paths (ensure) and never cleared, every live
+        // through the counted fill (ensure_batched) and never cleared, every live
         // entry is exactly a miss that has not been evicted.
         let cache = PathPredictionCache::new();
         cache.set_capacity(Some(4));
@@ -530,25 +547,25 @@ mod tests {
             );
             assert!(cache.len() <= 4, "{tag}: over capacity");
         };
-        let predict = |t: &[usize]| [t[0] as f64, 0.0, 0.0];
+        let predict = per_seq(|t| [t[0] as f64, 0.0, 0.0]);
         // Fill to capacity: 4 misses, nothing evicted yet.
         let first: Vec<Vec<usize>> = (0..4).map(|i| vec![i]).collect();
-        cache.ensure(&first, 2, predict);
+        cache.ensure_batched(&first, 2, 2, &predict);
         reconcile("full");
         assert_eq!((cache.hits(), cache.misses(), cache.evictions()), (0, 4, 0));
         // Overflow with three fresh sequences: FIFO evicts the oldest.
         let overflow: Vec<Vec<usize>> = (4..7).map(|i| vec![i]).collect();
-        cache.ensure(&overflow, 2, predict);
+        cache.ensure_batched(&overflow, 2, 2, &predict);
         reconcile("overflow");
         assert_eq!((cache.hits(), cache.misses(), cache.evictions()), (0, 7, 3));
         assert_eq!(cache.get(&[0]), None, "oldest entries leave first");
         assert_eq!(cache.get(&[6]), Some([6.0, 0.0, 0.0]));
         // Re-ensuring survivors hits without disturbing the identity.
-        cache.ensure(&overflow, 1, |_| unreachable!("survivors are cached"));
+        cache.ensure_batched(&overflow, 1, 1, |_| unreachable!("survivors are cached"));
         reconcile("re-ensure");
         assert_eq!((cache.hits(), cache.misses(), cache.evictions()), (3, 7, 3));
         // Re-ensuring an evicted sequence is a fresh miss + eviction.
-        cache.ensure(&first[..1], 1, predict);
+        cache.ensure_batched(&first[..1], 1, 1, &predict);
         reconcile("evicted returns");
         assert_eq!((cache.hits(), cache.misses(), cache.evictions()), (3, 8, 4));
         // Shrinking capacity evicts immediately and stays reconciled.

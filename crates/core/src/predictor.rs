@@ -207,9 +207,9 @@ impl SnsModel {
     /// Like [`aggregate`](Self::aggregate), but assumes the caller has
     /// already primed the shared cache (via
     /// [`prime_path_cache`](Self::prime_path_cache)) for `token_seqs` —
-    /// no new Circuitformer forward passes are scheduled here, so many
-    /// callers can coalesce their inference into shared batches first and
-    /// then reduce independently. Bit-identical to [`aggregate`]: both
+    /// no new Circuitformer forward passes are scheduled here, so a
+    /// caller can time inference and reduction as separate stages.
+    /// Bit-identical to [`aggregate`]: both
     /// run the same serial reduction over the same pure per-path values
     /// (a sequence evicted since priming is recomputed inline).
     ///

@@ -156,7 +156,8 @@ fn serialization_round_trips_bit_identically_for_every_layer() {
         Box<dyn FnMut(&mut dyn FnMut(&mut Param))>,
         Box<dyn FnMut(&mut dyn FnMut(&Param))>,
     );
-    let builders: Vec<(&str, fn(&mut StdRng, &mut StdRng) -> VisitPair)> = vec![
+    type Builder = fn(&mut StdRng, &mut StdRng) -> VisitPair;
+    let builders: Vec<(&str, Builder)> = vec![
         ("linear", |ra, rb| {
             let mut reg = ParamRegistry::new();
             let a = Linear::new(&mut reg, 5, 3, ra);

@@ -160,11 +160,9 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "sns-serve listening on http://{} (workers={}, threads={}, batch={}, queue_cap={}, max_conns={}, cache_cap={}, deadline={})",
+        "sns-serve listening on http://{} (workers={}, queue_cap={}, max_conns={}, cache_cap={}, deadline={})",
         server.addr(),
         config.workers,
-        config.threads,
-        config.batch,
         config.queue_cap,
         config.max_conns,
         config.cache_cap.map_or("unbounded".to_string(), |c| c.to_string()),

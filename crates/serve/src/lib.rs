@@ -25,9 +25,8 @@
 //!   answer is bit-identical to a from-scratch run (unknown/expired
 //!   base ⇒ `404`, `kind: "session"`).
 //! * **`GET /metrics`** — counters, queue/in-flight gauges, cache
-//!   hit/miss statistics, module-elab-cache and session counters,
-//!   micro-batcher coalescing stats, and per-stage log2 latency
-//!   histograms, all maintained on plain atomics.
+//!   hit/miss statistics, module-elab-cache and session counters, and
+//!   per-stage log2 latency histograms, all maintained on plain atomics.
 //! * **`GET /healthz`** — liveness.
 //!
 //! ## Event-driven connection core
@@ -43,23 +42,20 @@
 //!
 //! ## One model slot
 //!
-//! The server holds one swappable model generation: the model, its
-//! path-prediction cache and its [`MicroBatcher`](batcher::MicroBatcher).
-//! Each request pins the generation it starts on, so a hot-swap
-//! (`POST /admin/reload`, SIGHUP) never mixes two models in one answer.
+//! The server holds one swappable model generation: the model and its
+//! path-prediction cache. Each request pins the generation it starts
+//! on, so a hot-swap (`POST /admin/reload`, SIGHUP) never mixes two
+//! models in one answer.
 //!
-//! ## Throughput under concurrency
+//! ## Inference on the worker
 //!
-//! Concurrent requests do not run inference independently: each handler
-//! submits its *uncached* path sequences to the
-//! [`MicroBatcher`](batcher::MicroBatcher), which serves jobs FIFO in
-//! rounds bounded at about one `SNS_BATCH` of unique sequences —
-//! cross-request de-duplication happens both inside a round (the union
-//! is deduplicated) and through the cache (queued jobs re-filter
-//! against what earlier rounds already computed), so a request's
-//! latency tracks *its own* missing work plus at most one well-packed
-//! forward instead of the largest union in the queue, while identical
-//! concurrent designs still compute once.
+//! Each worker fills the pinned model's path cache itself, through the
+//! same `SnsModel::prime_path_cache` call the CLI and the session path
+//! use: only the request's *uncached* unique sequences run, in
+//! length-bucketed `SNS_BATCH` packs over `SNS_THREADS` pool threads.
+//! Requests share work through the cache: fills with something to
+//! compute run one at a time and skip what an earlier fill computed, so
+//! concurrent requests with overlapping paths run each sequence once.
 //!
 //! ## Robustness
 //!
@@ -85,13 +81,11 @@
 //! plus the model-level `SNS_THREADS` / `SNS_BATCH` and the elaboration
 //! budgets above.
 
-pub mod batcher;
 pub mod http;
 pub mod metrics;
 pub(crate) mod reactor;
 pub mod server;
 
-pub use batcher::MicroBatcher;
 pub use http::{read_request, write_response, HttpError, Request};
 pub use metrics::{CacheStats, ElabCacheStats, Histogram, KernelStats, Metrics, ModelTally};
 pub use server::{ReloadError, ReloadOutcome, ServeConfig, Server};

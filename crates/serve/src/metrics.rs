@@ -123,18 +123,12 @@ pub struct Metrics {
     pub queue_depth: AtomicU64,
     /// Requests currently being handled by workers.
     pub in_flight: AtomicU64,
-    /// Micro-batcher: fill rounds executed.
-    pub batch_rounds: AtomicU64,
-    /// Micro-batcher: handler jobs coalesced into those rounds (more jobs
-    /// than rounds ⇒ cross-request batching happened).
-    pub coalesced_jobs: AtomicU64,
-    /// Micro-batcher: unique sequences computed across all rounds.
-    pub batched_seqs: AtomicU64,
     /// Verilog parse + elaborate latency.
     pub stage_parse: Histogram,
     /// GraphIR construction + path sampling latency.
     pub stage_sample: Histogram,
-    /// Micro-batched Circuitformer inference latency (wait included).
+    /// Tokenize + path-cache fill latency: Circuitformer inference, plus
+    /// any wait for another request's fill.
     pub stage_infer: Histogram,
     /// Reduction + MLP refinement latency.
     pub stage_aggregate: Histogram,
@@ -225,9 +219,7 @@ impl Metrics {
 
     /// The full `/metrics` document.
     ///
-    /// `cache` is the serving model's path cache and
-    /// `batcher_queue_depth` the jobs waiting in its micro-batcher
-    /// (exported as `batcher.queue_depth`).
+    /// `cache` is the serving model's path cache.
     ///
     /// `models` carries one pre-assembled object per model the server
     /// has ever served (id, weight hash, [`ModelTally`] counters); it is
@@ -235,7 +227,6 @@ impl Metrics {
     pub fn to_json(
         &self,
         cache: CacheStats,
-        batcher_queue_depth: u64,
         elab: ElabCacheStats,
         kernels: KernelStats,
         models: Vec<Json>,
@@ -303,15 +294,6 @@ impl Metrics {
                     ("prepack_bytes", Json::UInt(kernels.prepack_bytes as u64)),
                 ]),
             ),
-            (
-                "batcher",
-                Json::obj(vec![
-                    ("rounds", Self::g(&self.batch_rounds)),
-                    ("coalesced_jobs", Self::g(&self.coalesced_jobs)),
-                    ("batched_seqs", Self::g(&self.batched_seqs)),
-                    ("queue_depth", Json::UInt(batcher_queue_depth)),
-                ]),
-            ),
             ("model_swaps", Self::g(&self.model_swaps)),
             ("reload_errors", Self::g(&self.reload_errors)),
             ("models", Json::Arr(models)),
@@ -370,10 +352,8 @@ mod tests {
         let m = Metrics::default();
         m.requests_total.fetch_add(3, Ordering::Relaxed);
         m.stage_total.record(Duration::from_millis(2));
-        m.batch_rounds.fetch_add(9, Ordering::Relaxed);
         let j = m.to_json(
             CacheStats { entries: 7, capacity: Some(100), hits: 3, misses: 1, evictions: 0 },
-            2,
             ElabCacheStats {
                 entries: 5,
                 capacity: Some(1024),
@@ -398,9 +378,7 @@ mod tests {
         let kernels = j.get("kernels").unwrap();
         assert_eq!(kernels.get("prepack_bytes").unwrap().as_u64().unwrap(), 4096);
         assert!(j.get("stages_us").unwrap().get("total").unwrap().get("count").is_ok());
-        let batcher = j.get("batcher").unwrap();
-        assert_eq!(batcher.get("rounds").unwrap().as_u64().unwrap(), 9);
-        assert_eq!(batcher.get("queue_depth").unwrap().as_u64().unwrap(), 2);
+        assert!(j.get("batcher").is_err(), "no batcher section");
         assert!(j.get("router").is_err(), "no router section");
         assert!(j.get("replicas").is_err(), "no replicas section");
         assert!(j.get("reactor_loop_us").unwrap().get("count").is_ok());

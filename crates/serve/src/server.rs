@@ -5,21 +5,23 @@
 //! reactor ──► dispatch queue ──► workers ──► model slot (pin one generation)
 //!    ▲  (full → 503 + Retry-After)  │                  │
 //!    │                              │                  ▼
-//!    └── completions + waker ◄──────┘   parse ► sample ► batcher ► cache
-//!                                                └─► reduce + MLP (predict_primed)
+//!    └── completions + waker ◄──────┘   parse ► sample ► fill cache (prime_path_cache)
+//!                                          └─► reduce + MLP (predict_primed)
 //! ```
 //!
 //! Connection I/O lives entirely on the reactor thread
 //! ([`crate::reactor`]); workers only ever see complete requests, so
 //! inference latency and socket behaviour cannot interfere. Every
 //! request runs on the one model generation in the slot when it starts:
-//! the model, its path cache and its micro-batcher. A hot-swap installs
-//! a new generation without touching requests already pinned to the old
-//! one.
+//! the model and its path cache, which the worker fills itself. A
+//! hot-swap installs a new generation without touching requests already
+//! pinned to the old one.
 //!
 //! Every stage boundary checks the per-request deadline, so a request
 //! that has already blown `SNS_DEADLINE_MS` never starts sampling or
-//! inference.
+//! inference. A fill already running is not interrupted: a request that
+//! passes its deadline during inference finishes its fill (warming the
+//! cache for later requests) and answers `504` before aggregation.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener};
@@ -39,13 +41,13 @@ use sns_rt::json::{parse as parse_json, Json};
 use sns_rt::net::Waker;
 use sns_sampler::PathSampler;
 
-use crate::batcher::MicroBatcher;
 use crate::http::{build_response, Request};
 use crate::metrics::{CacheStats, ElabCacheStats, KernelStats, Metrics, ModelTally};
 use crate::reactor::reactor_loop;
 
-/// Locks a mutex, recovering from poisoning (see `batcher.rs` for the
-/// rationale; the serve front-end must stay panic-free regardless).
+/// Locks a mutex, recovering the guard from a poisoned lock. The values
+/// behind every lock in this crate tolerate a panicked writer, and the
+/// serve front-end must stay panic-free regardless.
 pub(crate) fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -74,10 +76,6 @@ pub struct ServeConfig {
     /// Entry cap installed on the serving model's path cache (`None` =
     /// unbounded).
     pub cache_cap: Option<usize>,
-    /// Inference pool threads per batch round (`SNS_THREADS`).
-    pub threads: usize,
-    /// Sequences per packed Circuitformer forward (`SNS_BATCH`).
-    pub batch: usize,
     /// Per-connection framing deadline: a complete request must arrive
     /// within this budget of the accept (fixed at accept time — trickling
     /// bytes does not extend it), else `408`.
@@ -109,8 +107,6 @@ impl Default for ServeConfig {
             // A long-lived server bounds the cache so memory stays flat
             // under unbounded design diversity; the CLI stays unbounded.
             cache_cap: Some(1 << 18),
-            threads: sns_rt::pool::default_threads(),
-            batch: sns_rt::pool::default_batch(),
             read_timeout: Duration::from_secs(10),
             session_cap: sns_core::session::DEFAULT_SESSION_CAP,
             elab_cache_cap: ModuleElabCache::DEFAULT_CAPACITY,
@@ -124,9 +120,10 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// The default configuration with every `SNS_*` environment knob
     /// applied: `SNS_WORKERS`, `SNS_QUEUE_CAP`, `SNS_MAX_BODY`,
-    /// `SNS_DEADLINE_MS`, `SNS_CACHE_CAP` (0 = unbounded), `SNS_THREADS`,
-    /// `SNS_BATCH`, `SNS_SESSION_CAP`, `SNS_ELAB_CACHE_CAP`,
-    /// `SNS_MAX_CONNS`, `SNS_ZOO_DIR`.
+    /// `SNS_DEADLINE_MS`, `SNS_CACHE_CAP` (0 = unbounded),
+    /// `SNS_SESSION_CAP`, `SNS_ELAB_CACHE_CAP`, `SNS_MAX_CONNS`,
+    /// `SNS_ZOO_DIR`. Inference reads `SNS_THREADS` / `SNS_BATCH` from
+    /// `sns_rt::pool` on every fill.
     pub fn from_env() -> Self {
         let mut c = ServeConfig::default();
         if let Some(n) = env_usize("SNS_WORKERS") {
@@ -180,16 +177,13 @@ pub(crate) struct Completion {
 }
 
 /// One generation of the serving model: the model with its path cache,
-/// the micro-batcher filling that cache, and the zoo identity the server
-/// reports for every prediction it makes. Hot-swapping installs a new
-/// `Arc<ModelEntry>` in the slot;
+/// and the zoo identity the server reports for every prediction it
+/// makes. Hot-swapping installs a new `Arc<ModelEntry>` in the slot;
 /// requests already holding the old `Arc` finish on the model they
 /// started with (bit-identical to a direct call on it), and the old
-/// generation — batcher thread included — is torn down when the last
-/// in-flight holder drops it.
+/// generation is dropped with its last in-flight holder.
 pub(crate) struct ModelEntry {
     pub model: Arc<SnsModel>,
-    pub batcher: MicroBatcher,
     pub model_id: String,
     pub weight_hash: String,
     pub tally: Arc<ModelTally>,
@@ -273,7 +267,7 @@ impl Server {
         let metrics = Arc::new(Metrics::default());
         let weight_hash = model_weight_hash(&model);
         let tally = Arc::new(ModelTally::default());
-        let entry = build_entry(model, model_id, &weight_hash, &tally, &config, &metrics)?;
+        let entry = build_entry(model, model_id, &weight_hash, &tally);
         let models = vec![ModelInfo {
             id: model_id.to_string(),
             weight_hash,
@@ -385,9 +379,8 @@ impl Server {
         self.shared.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Drains in-flight work and joins every thread (reactor, workers,
-    /// the micro-batcher). Implies
-    /// [`request_shutdown`](Self::request_shutdown).
+    /// Drains in-flight work and joins every thread (reactor and
+    /// workers). Implies [`request_shutdown`](Self::request_shutdown).
     pub fn join(mut self) {
         self.request_shutdown();
         if let Some(r) = self.reactor.take() {
@@ -396,9 +389,6 @@ impl Server {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        // Dropping `self` releases the last `Arc<Shared>` (all threads
-        // have exited), which drops the serving `MicroBatcher`, whose `Drop`
-        // drains any queued round and joins the batcher thread.
     }
 }
 
@@ -448,25 +438,20 @@ pub struct ReloadOutcome {
     pub previous_hash: String,
 }
 
-/// Builds the [`ModelEntry`] for `model`: starts its micro-batcher and
-/// attaches the zoo identity and the per-model tally.
+/// Builds the [`ModelEntry`] for `model`: attaches the zoo identity and
+/// the per-model tally.
 fn build_entry(
     model: Arc<SnsModel>,
     model_id: &str,
     weight_hash: &str,
     tally: &Arc<ModelTally>,
-    config: &ServeConfig,
-    metrics: &Arc<Metrics>,
-) -> std::io::Result<Arc<ModelEntry>> {
-    let batcher =
-        MicroBatcher::start(Arc::clone(&model), config.threads, config.batch, Arc::clone(metrics))?;
-    Ok(Arc::new(ModelEntry {
+) -> Arc<ModelEntry> {
+    Arc::new(ModelEntry {
         model,
-        batcher,
         model_id: model_id.to_string(),
         weight_hash: weight_hash.to_string(),
         tally: Arc::clone(tally),
-    }))
+    })
 }
 
 /// The tally for (`id`, `weight_hash`) in the model registry, appending
@@ -514,18 +499,8 @@ pub(crate) fn reload_from_zoo(
     model.cache().set_capacity(shared.config.cache_cap);
     let sample_config_changed = model.sample_config() != current.model.sample_config();
     let tally = tally_for(shared, &zoo_entry.id, &zoo_entry.weight_hash);
-    // Build the new generation before installing it, so a failure
-    // (batcher thread spawn) leaves the old generation serving.
-    let entry = build_entry(
-        Arc::new(model),
-        &zoo_entry.id,
-        &zoo_entry.weight_hash,
-        &tally,
-        &shared.config,
-        &shared.metrics,
-    )
-    .map_err(|e| ReloadError::Zoo(ZooError::Io(e.to_string())))?;
-    *lock_or_recover(&shared.entry) = entry;
+    *lock_or_recover(&shared.entry) =
+        build_entry(Arc::new(model), &zoo_entry.id, &zoo_entry.weight_hash, &tally);
     // Live ECO sessions hold terminal samples, which depend only on the
     // sample config, not the weights — they stay bit-exact across a
     // weight swap. A changed sample config invalidates them.
@@ -636,13 +611,7 @@ fn route(request: &Request, shared: &Shared) -> Reply {
                     Json::Obj(obj)
                 })
                 .collect();
-            let json = shared.metrics.to_json(
-                cache_stats,
-                serving.batcher.queue_depth() as u64,
-                elab_stats,
-                kernel_stats,
-                models,
-            );
+            let json = shared.metrics.to_json(cache_stats, elab_stats, kernel_stats, models);
             (200, Vec::new(), json)
         }
         ("GET", "/healthz") => (200, Vec::new(), Json::obj(vec![("status", Json::Str("ok".into()))])),
@@ -826,8 +795,8 @@ fn handle_predict(request: &Request, shared: &Shared) -> Reply {
         Err(msg) => return (400, Vec::new(), error_body(&msg, "json")),
     };
 
-    // Pin one model generation for the whole request: model, batcher,
-    // and cache all come from this entry, so a concurrent hot-swap can
+    // Pin one model generation for the whole request: model and cache
+    // both come from this entry, so a concurrent hot-swap can
     // never mix generations mid-pipeline — the response is bit-identical
     // to a direct call on the model the request started with, and the
     // headers below say which one that was.
@@ -863,7 +832,7 @@ fn handle_predict(request: &Request, shared: &Shared) -> Reply {
 /// The full prediction pipeline, with per-stage instrumentation and a
 /// deadline check at every stage boundary. Responses are bit-identical
 /// to a direct `SnsModel::predict_verilog` call: the sampler is seeded
-/// by config, the micro-batcher fills the same cache `aggregate` would,
+/// by config, `prime_path_cache` fills the same cache `aggregate` would,
 /// and the final reduction is the model's own `predict_primed`.
 fn predict_full(shared: &Shared, entry: &ModelEntry, input: PredictInput, start: Instant) -> Reply {
     let deadline = shared.config.deadline.map(|d| start + d);
@@ -893,17 +862,22 @@ fn predict_full(shared: &Shared, entry: &ModelEntry, input: PredictInput, start:
         return deadline_reply("inference", shared);
     }
 
-    // Stage 3: micro-batched inference — only the sequences this request
-    // is missing; concurrent requests for the same design share work
-    // through the pinned generation's cache.
+    // Stage 3: inference — only the sequences the pinned generation's
+    // cache is missing, in length-bucketed packs over the pool (waiting
+    // first for any other request's fill, whose results it then reuses).
+    // A fill that runs past the deadline still completes (the cache
+    // keeps it).
     let t = Instant::now();
     let token_seqs = entry.model.tokenize_paths(&graph, &paths);
-    let missing = entry.model.cache().missing_unique(&token_seqs);
-    let gate = entry.batcher.submit(missing);
-    if !gate.wait(deadline) {
+    entry.model.prime_path_cache(
+        &token_seqs,
+        sns_rt::pool::default_threads(),
+        sns_rt::pool::default_batch(),
+    );
+    shared.metrics.stage_infer.record(t.elapsed());
+    if deadline.is_some_and(|d| Instant::now() >= d) {
         return deadline_reply("aggregation", shared);
     }
-    shared.metrics.stage_infer.record(t.elapsed());
 
     // Stage 4: serial reduction + MLP refinement.
     let t = Instant::now();
@@ -911,33 +885,46 @@ fn predict_full(shared: &Shared, entry: &ModelEntry, input: PredictInput, start:
         entry.model.predict_primed(&graph, &paths, &token_seqs, input.activity.as_ref(), start);
     shared.metrics.stage_aggregate.record(t.elapsed());
 
-    let fields = prediction_fields(&pred, input.clock_ps);
+    let fields = match prediction_fields(&pred, input.clock_ps) {
+        Ok(fields) => fields,
+        Err(reply) => return reply,
+    };
     shared.metrics.predict_ok.fetch_add(1, Ordering::Relaxed);
     shared.metrics.stage_total.record(start.elapsed());
     (200, Vec::new(), Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect()))
 }
 
-/// The `DesignPrediction` fields every successful `/predict` reply shares.
+/// The `DesignPrediction` fields every successful `/predict` reply
+/// shares, or a structured `500` (`kind: "model"`) when the model
+/// produced a non-finite PPA value — the JSON printer would write it as
+/// `null`, so a diverged model must not answer `200`.
 fn prediction_fields(
     pred: &sns_core::DesignPrediction,
     clock_ps: Option<f64>,
-) -> Vec<(&'static str, Json)> {
-    let mut fields = vec![
-        ("timing_ps", Json::Num(pred.timing_ps)),
-        ("area_um2", Json::Num(pred.area_um2)),
-        ("power_mw", Json::Num(pred.power_mw)),
+) -> Result<Vec<(&'static str, Json)>, Reply> {
+    let mut fields = Vec::new();
+    for (name, value) in
+        [("timing_ps", pred.timing_ps), ("area_um2", pred.area_um2), ("power_mw", pred.power_mw)]
+    {
+        if !value.is_finite() {
+            let msg = format!("the model predicted a non-finite {name} ({value})");
+            return Err((500, Vec::new(), error_body(&msg, "model")));
+        }
+        fields.push((name, Json::Num(value)));
+    }
+    fields.extend([
         ("path_count", Json::UInt(pred.path_count as u64)),
         (
             "critical_path",
             Json::Arr(pred.critical_path.iter().map(|s| Json::Str(s.clone())).collect()),
         ),
         ("runtime_us", Json::UInt(u64::try_from(pred.runtime.as_micros()).unwrap_or(u64::MAX))),
-    ];
+    ]);
     if let Some(clock_ps) = clock_ps {
         fields.push(("slack_ps", Json::Num(clock_ps - pred.timing_ps)));
         fields.push(("meets_clock", Json::Bool(pred.timing_ps <= clock_ps)));
     }
-    fields
+    Ok(fields)
 }
 
 /// Builds the 200 reply for a session-registering or ECO prediction:
@@ -949,7 +936,10 @@ fn session_reply(
     clock_ps: Option<f64>,
     start: Instant,
 ) -> Reply {
-    let mut fields = prediction_fields(&outcome.prediction, clock_ps);
+    let mut fields = match prediction_fields(&outcome.prediction, clock_ps) {
+        Ok(fields) => fields,
+        Err(reply) => return reply,
+    };
     fields.push(("base", Json::Str(outcome.token.clone())));
     fields.push((
         "reelaborated",
@@ -1005,5 +995,56 @@ fn handle_patch(
             (422, Vec::new(), error_body(&e.to_string(), "budget"))
         }
         Err(SessionError::Front(e)) => (400, Vec::new(), error_body(&e.to_string(), "verilog")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn prediction(timing_ps: f64, area_um2: f64, power_mw: f64) -> sns_core::DesignPrediction {
+        sns_core::DesignPrediction {
+            timing_ps,
+            area_um2,
+            power_mw,
+            path_count: 3,
+            critical_path: vec!["a".into(), "b".into()],
+            runtime: Duration::from_micros(7),
+        }
+    }
+
+    #[test]
+    fn non_finite_predictions_are_a_structured_500() {
+        for (pred, name) in [
+            (prediction(f64::NAN, 1.0, 1.0), "timing_ps"),
+            (prediction(1.0, f64::INFINITY, 1.0), "area_um2"),
+            (prediction(1.0, 1.0, f64::NEG_INFINITY), "power_mw"),
+        ] {
+            let Err((status, _, body)) = prediction_fields(&pred, Some(100.0)) else {
+                panic!("{name}: a non-finite prediction must not answer 200");
+            };
+            assert_eq!(status, 500, "{name}");
+            assert_eq!(body.get("kind").unwrap().as_str().unwrap(), "model", "{name}");
+            assert!(body.get("error").unwrap().as_str().unwrap().contains(name), "{name}");
+        }
+    }
+
+    #[test]
+    fn finite_predictions_keep_every_field() {
+        let fields = prediction_fields(&prediction(90.0, 2.0, 0.5), Some(100.0)).unwrap();
+        let names: Vec<&str> = fields.iter().map(|(k, _)| *k).collect();
+        assert_eq!(
+            names,
+            [
+                "timing_ps",
+                "area_um2",
+                "power_mw",
+                "path_count",
+                "critical_path",
+                "runtime_us",
+                "slack_ps",
+                "meets_clock"
+            ]
+        );
     }
 }

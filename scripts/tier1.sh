@@ -74,8 +74,11 @@ cargo test -q -p sns-conformance -p sns-nn
 echo "==> cargo test -q --test serve_e2e -- --test-threads=1"
 cargo test -q --test serve_e2e -- --test-threads=1
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+# Every workspace member and every target (benches included), so an API
+# deletion cannot leave a bench or test behind that only a later
+# `cargo bench` would find.
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Fast-vs-reference synthesis identity on the blessed corpus plus a
 # quick generated sample; the full 2000-design sweep lives in

@@ -122,12 +122,15 @@ fn predict_body(d: &Design) -> String {
 #[test]
 fn concurrent_responses_are_bit_identical_to_direct_predictions() {
     let model = model();
-    let server = Server::start_shared(Arc::clone(&model), test_config()).unwrap();
+    // A cold fork (same weights, empty cache), so the workers' concurrent
+    // fills start from nothing and the cache counters below are this
+    // test's alone.
+    let server = Server::start(model.fork_replica(), test_config()).unwrap();
     let addr = server.addr();
     let designs = serve_designs();
 
     // 8 clients × 3 requests each, round-robin over the design pool, all
-    // in flight together so the micro-batcher actually coalesces.
+    // in flight together so workers fill the shared cache concurrently.
     let mut handles = Vec::new();
     for client in 0..8 {
         let designs = designs.clone();
@@ -185,12 +188,23 @@ fn concurrent_responses_are_bit_identical_to_direct_predictions() {
     assert_eq!(m.get("responses").unwrap().get("2xx").unwrap().as_u64().unwrap(), 24);
     assert_eq!(m.get("responses").unwrap().get("4xx").unwrap().as_u64().unwrap(), 0);
     assert_eq!(m.get("responses").unwrap().get("5xx").unwrap().as_u64().unwrap(), 0);
-    // Coalescing invariant: every round serves >= 1 job, and the
-    // per-stage histograms saw every prediction.
-    let batcher = m.get("batcher").unwrap();
-    let rounds = batcher.get("rounds").unwrap().as_u64().unwrap();
-    let jobs = batcher.get("coalesced_jobs").unwrap().as_u64().unwrap();
-    assert!(jobs >= rounds, "jobs {jobs} < rounds {rounds}");
+    // Concurrent worker-side fills leave exactly the cache a serial run
+    // builds, and no entry was computed without being counted a miss
+    // (racing fills of one sequence may each count it).
+    let serial = model.fork_replica();
+    for d in &designs {
+        serial.predict_verilog(&d.verilog, &d.top).unwrap();
+    }
+    let cache = m.get("cache").unwrap();
+    let entries = cache.get("entries").unwrap().as_u64().unwrap();
+    let evictions = cache.get("evictions").unwrap().as_u64().unwrap();
+    let misses = cache.get("misses").unwrap().as_u64().unwrap();
+    assert_eq!(entries, serial.cached_paths() as u64, "cache entries vs a serial fill");
+    assert!(
+        entries + evictions <= misses,
+        "entries {entries} + evictions {evictions} > misses {misses}"
+    );
+    // The per-stage histograms saw every prediction.
     let stages = m.get("stages_us").unwrap();
     for stage in ["parse", "sample", "infer", "aggregate", "total"] {
         assert_eq!(
